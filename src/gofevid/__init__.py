@@ -36,7 +36,6 @@ from .pearson import (
     power_lack_of_fit,
 )
 from .boundary import (
-    EquivalenceSpec,
     euclid_d,
     inradius,
     lambda0_uniform,
@@ -46,7 +45,6 @@ from .boundary import (
     table2,
 )
 from .divergence import (
-    DensityGrid,
     J_noncentral,
     J_uniform,
     chisq_density,

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EquivalenceSpec",
     "euclid_d",
     "sup_M",
     "lambda0_uniform",
@@ -17,42 +15,6 @@ __all__ = [
     "sample_size",
     "table2",
 ]
-
-_KINDS = ("euclidean", "sup", "weighted")
-
-
-@dataclass(frozen=True)
-class EquivalenceSpec:
-    """What counts as 'equivalent': a boundary of relative error k on r cells.
-
-    kind selects the operative notion: a Euclidean ball of radius
-    d0 = k/sqrt(r(r-1)), a sup-metric box of radius M0 = k/r, or the
-    weighted relative-discrepancy form used with non-uniform cell
-    probabilities.  d0 and M0 are always populated for reference.
-    """
-
-    r: int
-    k: float
-    kind: str = "euclidean"
-    d0: float = 0.0
-    M0: float = 0.0
-
-    def __post_init__(self):
-        if not (isinstance(self.r, (int, np.integer)) and self.r >= 2):
-            raise ValueError("r must be an integer >= 2")
-        if not (0.0 < self.k <= 1.0):
-            raise ValueError("k must lie in (0, 1]")
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-        object.__setattr__(self, "d0", self.k / math.sqrt(self.r * (self.r - 1)))
-        object.__setattr__(self, "M0", self.k / self.r)
-
-    def lambda0(self, n: int) -> float:
-        """Boundary noncentrality for sample size n: n k^2 / (r - 1)."""
-        if self.kind == "sup":
-            raise ValueError("lambda0 is not defined for the sup-metric boundary")
-        return lambda0_uniform(n, self.r, self.k)
-
 
 def _as_simplex(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .boundary import sample_size
+from .boundary import lambda0_uniform, sample_size
 from .evidence import (
     EquivalenceParams,
     evidence_against,
@@ -23,6 +23,9 @@ from .evidence import (
 from .pearson import CellData, pearson_stat
 from .model_fit import evidence_for_normality, evidence_for_poisson
 from .sim import SCENARIOS, SimConfig, run_scenario
+
+
+MAX_COUNT_VALUE = 1_000_000  # largest value an 'index,count' line may give
 
 
 class ParseError(ValueError):
@@ -117,6 +120,8 @@ def _load_frequency_table(args) -> np.ndarray:
         return np.asarray(counts)
     if min(indices) < 0:
         raise ParseError("count-data indices must be nonnegative")
+    if max(indices) > MAX_COUNT_VALUE:
+        raise ParseError(f"count-data index {max(indices)} exceeds the limit {MAX_COUNT_VALUE}")
     table = np.zeros(max(indices) + 1, dtype=np.int64)
     for idx, cnt in zip(indices, counts):
         table[idx] += cnt
@@ -192,7 +197,7 @@ def cmd_evidence_equiv(args) -> int:
     s = pearson_stat(cells)
     r = len(counts)
     nu = float(r - 1)
-    lambda0 = cells.n * args.k**2 / (r - 1)
+    lambda0 = lambda0_uniform(cells.n, r, args.k)
     params = EquivalenceParams(nu=nu, lambda0=lambda0)
     adjust = not args.no_bias_adjust
     ev = evidence_for_equivalence(s, params, bias_adjust=adjust)
@@ -291,6 +296,8 @@ def cmd_fit_poisson(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     params = json.loads(args.params) if args.params else {}
     config = SimConfig(scenario=args.scenario, reps=args.reps, seed=args.seed,
                        params=params)

@@ -1,8 +1,7 @@
 """Distribution primitives: normal and (non)central chi-squared, seedable streams.
 
-The noncentral chi-squared CDF/density are computed as Poisson(lambda/2)
-mixtures of central chi-squared terms, truncated when the remaining Poisson
-tail mass is below 1e-14.  Random streams are counter-based (Philox keyed by
+The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
+``chndtrix``.  Random streams are counter-based (Philox keyed by
 (seed, stream_id)), so substreams are cheap and order-independent.
 """
 
@@ -12,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "RandomStream",
@@ -109,58 +108,17 @@ def chisq_mean_var(params: ChiSqParams) -> tuple[float, float]:
     return params.nu + params.lam, 2.0 * params.nu + 4.0 * params.lam
 
 
-def _poisson_weights(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson(lam/2) index range and weights with tail mass < 1e-14."""
-    m = 0.5 * lam
-    if m == 0.0:
-        return np.array([0]), np.array([1.0])
-    half = 12.0 * math.sqrt(m) + 20.0
-    klo = max(0, int(math.floor(m - half)))
-    khi = int(math.ceil(m + half))
-    k = np.arange(klo, khi + 1)
-    logw = k * math.log(m) - m - special.gammaln(k + 1.0)
-    return k, np.exp(logw)
-
-
 def chisq_cdf(x, params: ChiSqParams):
-    """CDF of the (non)central chi-squared law; negative x maps to 0.
-
-    Absolute error <= 1e-10 (Poisson-mixture truncation plus the regularized
-    incomplete gamma of each central term).
-    """
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(xa.shape, dtype=float)
-    pos = xa > 0.0
-    if np.any(pos):
-        k, w = _poisson_weights(params.lam)
-        shapes = 0.5 * params.nu + k
-        xh = 0.5 * xa[pos]
-        vals = np.empty(xh.shape, dtype=float)
-        # chunk to bound the (terms x points) temporary
-        step = max(1, 2_000_000 // len(k))
-        for i in range(0, len(xh), step):
-            block = xh[i : i + step]
-            vals[i : i + step] = w @ special.gammainc(shapes[:, None], block[None, :])
-        out[pos] = np.clip(vals, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    """CDF of the (non)central chi-squared law; negative x maps to 0."""
+    out = special.chndtr(np.maximum(x, 0.0), params.nu, params.lam)
+    return float(out) if np.isscalar(x) else out
 
 
 def chisq_quantile(p: float, params: ChiSqParams) -> float:
-    """Inverse of chisq_cdf, solved by bracketing root search."""
+    """Inverse of chisq_cdf on (0, 1)."""
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly in (0, 1)")
-    nu, lam = params.nu, params.lam
-    hi = nu + lam + 20.0 * math.sqrt(2.0 * nu + 4.0 * lam) + 50.0
-    while chisq_cdf(hi, params) < p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket quantile")
-    return float(
-        optimize.brentq(
-            lambda q: chisq_cdf(q, params) - p, 0.0, hi, xtol=1e-12, maxiter=200
-        )
-    )
+    return float(special.chndtrix(p, params.nu, params.lam))
 
 
 def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):
@@ -210,22 +168,12 @@ def _sample_neg_binomial(g, size, mu=1.0, alpha=0.0):
     return g.negative_binomial(1.0 / alpha, 1.0 / (1.0 + alpha * mu), size=size)
 
 
-def _sample_multinomial(g, size, n=1, probs=None):
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("probs must be a probability vector summing to 1")
-    if not (isinstance(n, (int, np.integer)) and n > 0):
-        raise ValueError("n must be a positive integer")
-    return g.multinomial(n, probs, size=size)
-
-
 FAMILIES = {
     "normal": _sample_normal,
     "logistic": _sample_logistic,
     "student_t": _sample_student_t,
     "poisson": _sample_poisson,
     "neg_binomial": _sample_neg_binomial,
-    "multinomial": _sample_multinomial,
 }
 
 

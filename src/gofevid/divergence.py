@@ -4,16 +4,14 @@ numerical quadrature for pairs of noncentral chi-squared laws."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
-from .dist import ChiSqParams, _poisson_weights
+from .dist import ChiSqParams
 from .evidence import EquivalenceParams
 
 __all__ = [
-    "DensityGrid",
     "kld_J_multinomial",
     "J_uniform",
     "chisq_density",
@@ -54,6 +52,19 @@ def J_uniform(p, n: int = 1) -> float:
     return float(n * ((pa - 1.0 / r) * np.log(pa)).sum())
 
 
+def _poisson_weights(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(lam/2) index range and weights with tail mass < 1e-14."""
+    m = 0.5 * lam
+    if m == 0.0:
+        return np.array([0]), np.array([1.0])
+    half = 12.0 * math.sqrt(m) + 20.0
+    klo = max(0, int(math.floor(m - half)))
+    khi = int(math.ceil(m + half))
+    k = np.arange(klo, khi + 1)
+    logw = k * math.log(m) - m - special.gammaln(k + 1.0)
+    return k, np.exp(logw)
+
+
 def _chisq_logpdf(x: np.ndarray, params: ChiSqParams) -> np.ndarray:
     """Log density of the Poisson-mixture representation, stable in the tails."""
     k, w = _poisson_weights(params.lam)
@@ -80,37 +91,6 @@ def chisq_density(x, params: ChiSqParams):
     if np.any(pos):
         out[pos] = np.exp(_chisq_logpdf(xa[pos], params))
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """A density tabulated on an equally spaced support grid."""
-
-    support: np.ndarray
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.support) != len(self.values) or len(self.support) < 2:
-            raise ValueError("support and values must be equal-length, with >= 2 points")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if np.any(np.asarray(self.values) < 0):
-            raise ValueError("density values must be nonnegative")
-        total = float(np.trapezoid(self.values, dx=self.step))
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"density must integrate to 1 (trapezoid rule), got {total!r}")
-
-    @classmethod
-    def from_params(cls, params: ChiSqParams, n_points: int = 8192) -> "DensityGrid":
-        """Tabulate a chi-squared density; needs nu >= 2, since below that the
-        density is unbounded at 0 and a uniform grid cannot carry its mass."""
-        if params.nu < 2.0:
-            raise ValueError("uniform-grid tabulation requires nu >= 2")
-        hi = _support_bound(params)
-        support = np.linspace(0.0, hi, n_points)
-        return cls(support=support, step=float(support[1] - support[0]),
-                   values=chisq_density(support, params))
 
 
 def _support_bound(params: ChiSqParams) -> float:

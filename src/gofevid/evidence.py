@@ -74,8 +74,8 @@ class EquivalenceParams:
 def _check_s_nu(s, nu):
     if not (nu > 0 and math.isfinite(nu)):
         raise ValueError(f"nu must be positive, got {nu}")
-    if np.any(np.asarray(s) < 0):
-        raise ValueError("statistic s must be nonnegative")
+    if not np.all(np.asarray(s) >= 0):  # also catches NaN
+        raise ValueError("statistic s must be nonnegative and not NaN")
 
 
 def lof_transform(s, nu: float, bias_adjust: bool = True):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .boundary import lambda0_uniform
 from .dist import normal_quantile
 from .evidence import EquivalenceParams, EvidenceValue, evidence_for_equivalence, \
     max_expected_evidence
@@ -143,7 +144,7 @@ def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True)
     cells = CellData(counts=counts, null_probs=np.full(r, 1.0 / r))
     s_stat = pearson_stat(cells)
     nu = float(r - 3)
-    params = EquivalenceParams(nu=nu, lambda0=n * k * k / (r - 1))
+    params = EquivalenceParams(nu=nu, lambda0=lambda0_uniform(n, r, k))
     return NormalFitReport(
         n=n, r=r, edges=edges, counts=counts, s_stat=s_stat, nu=nu,
         lambda0=params.lambda0, m0=max_expected_evidence(params), k=k,
@@ -224,11 +225,14 @@ def evidence_for_poisson(counts, k: float = DEFAULT_K, bias_adjust: bool = True)
     mu_hat = poisson_mle(nu_j)
     n = int(np.asarray(nu_j).sum())
     r0, r, comb_probs = combine_cells_poisson(n, mu_hat)
+    if r < 3:
+        raise ValueError(f"tail-cell combining left r = {r} cells at mu_hat = {mu_hat:g}; "
+                         "the Poisson fit needs at least 3 (nu = r - 2)")
     comb_counts = _fold_counts(nu_j.astype(np.int64), r0, r)
     cells = CellData(counts=comb_counts, null_probs=comb_probs)
     s_stat = pearson_stat(cells)
     nu = float(r - 2)
-    params = EquivalenceParams(nu=nu, lambda0=n * k * k / (r - 1))
+    params = EquivalenceParams(nu=nu, lambda0=lambda0_uniform(n, r, k))
     return PoissonFitReport(
         n=n, mu_hat=mu_hat, r0=r0, r=r, comb_probs=comb_probs,
         comb_counts=comb_counts, s_stat=s_stat, nu=nu, lambda0=params.lambda0,

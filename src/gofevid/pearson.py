@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _MIN_PROB = 1e-12
+_POWER_BLOCK = 100  # replications per work unit of multinomial_power_mc
 
 
 @dataclass
@@ -155,12 +156,15 @@ def multinomial_power_mc(
     null_probs = np.asarray(null_probs, dtype=float)
     if true_probs.shape != null_probs.shape:
         raise ValueError("probability vectors must have the same length")
-    if np.any(null_probs <= _MIN_PROB) or abs(null_probs.sum() - 1.0) > 1e-9:
+    if not (np.all(null_probs > _MIN_PROB) and abs(null_probs.sum() - 1.0) <= 1e-9):
         raise ValueError("null_probs must be strictly positive and sum to 1")
+    if not (np.all(true_probs >= 0) and abs(true_probs.sum() - 1.0) <= 1e-9):
+        raise ValueError("true_probs must be nonnegative and sum to 1")
     r = len(null_probs)
     c = chisq_quantile(1.0 - alpha, ChiSqParams(r - 1, 0.0))
     expected = n * null_probs
 
+    workers = min(workers, -(-reps // _POWER_BLOCK))  # at most one thread per block
     if workers <= 1:
         hits = _power_chunk(stream, 0, reps, n, true_probs, expected, c)
     else:

@@ -9,6 +9,8 @@ any worker count.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -109,26 +111,62 @@ _PARAM_KEYS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _nonempty_list(params: dict, key: str) -> list:
+    value = params[key]
+    if not isinstance(value, (list, tuple)) or len(value) == 0:
+        raise ValueError(f"{key} must be a nonempty list")
+    return value
+
+
+def _check_dist(dist) -> None:
+    ok = (isinstance(dist, (list, tuple))
+          and ((len(dist) == 2 and dist[0] == "poisson")
+               or (len(dist) == 3 and dist[0] == "neg_binomial"
+                   and _is_real(dist[2]) and dist[2] >= 0))
+          and _is_real(dist[1]) and dist[1] > 0)
+    if not ok:
+        raise ValueError(f"bad dists entry {dist!r}: expected [\"poisson\", mu] or "
+                         "[\"neg_binomial\", mu, alpha] with mu > 0 and alpha >= 0")
+
+
 def _validate_params(scenario: str, params: dict) -> None:
+    if not isinstance(params, dict):
+        raise ValueError("params must be a JSON object")
     extra = set(params) - _PARAM_KEYS[scenario]
     if extra:
         raise ValueError(f"unknown parameters {sorted(extra)} for scenario {scenario!r}")
     for key in ("nu", "lambda0"):
-        if key in params and not params[key] > 0:
-            raise ValueError(f"{key} must be positive")
-    if "lambda_grid" in params and any(l < 0 for l in params["lambda_grid"]):
-        raise ValueError("lambda_grid values must be nonnegative")
+        if key in params and not (_is_real(params[key]) and params[key] > 0):
+            raise ValueError(f"{key} must be a positive number")
+    if "lambda_grid" in params and not all(
+            _is_real(l) and l >= 0 for l in _nonempty_list(params, "lambda_grid")):
+        raise ValueError("lambda_grid values must be nonnegative numbers")
     if "families" in params:
-        bad = set(params["families"]) - set(TABLE3_FAMILIES)
+        bad = [f for f in _nonempty_list(params, "families") if f not in TABLE3_FAMILIES]
         if bad:
-            raise ValueError(f"unknown families {sorted(bad)}; choose from {TABLE3_FAMILIES}")
-    if "n_list" in params and any(n < 100 for n in params["n_list"]):
-        raise ValueError("n_list entries must be at least 100")
-    if "alpha" in params and not (0 < params["alpha"] < 1):
+            raise ValueError(f"unknown families {bad}; choose from {TABLE3_FAMILIES}")
+    if "dists" in params:
+        for dist in _nonempty_list(params, "dists"):
+            _check_dist(dist)
+    if "n_list" in params and not all(
+            _is_int(n) and n >= 100 for n in _nonempty_list(params, "n_list")):
+        raise ValueError("n_list entries must be integers of at least 100")
+    if "n" in params and not (_is_int(params["n"]) and params["n"] >= 1):
+        raise ValueError("n must be a positive integer")
+    if "alpha" in params and not (_is_real(params["alpha"]) and 0 < params["alpha"] < 1):
         raise ValueError("alpha must lie strictly in (0, 1)")
 
 
 def _map_units(fn, items, workers: int):
+    workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

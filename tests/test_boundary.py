@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from gofevid.boundary import (
-    EquivalenceSpec,
     euclid_d,
     inradius,
     lambda0_uniform,
@@ -183,25 +182,3 @@ class TestInscribedBallOfPolytope:
             p = 1.0 / r + sign * (k / r) * direction
             assert np.linalg.norm(p - 1.0 / r) == pytest.approx(k / math.sqrt(r * (r - 1)))
             assert np.abs(p - 1.0 / r).max() == pytest.approx(k / r)
-
-
-class TestEquivalenceSpec:
-    def test_fields(self):
-        spec = EquivalenceSpec(r=6, k=0.5, kind="euclidean")
-        assert spec.d0 == pytest.approx(0.5 / math.sqrt(30))
-        assert spec.M0 == pytest.approx(0.5 / 6)
-        assert spec.lambda0(428) == pytest.approx(21.4)
-
-    def test_weighted_lambda0_matches_euclidean(self):
-        assert EquivalenceSpec(r=16, k=0.5, kind="weighted").lambda0(1207) == \
-            pytest.approx(20.1167, abs=1e-4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EquivalenceSpec(r=1, k=0.5)
-        with pytest.raises(ValueError):
-            EquivalenceSpec(r=6, k=0.0)
-        with pytest.raises(ValueError):
-            EquivalenceSpec(r=6, k=0.5, kind="mahalanobis")
-        with pytest.raises(ValueError):
-            EquivalenceSpec(r=6, k=0.5, kind="sup").lambda0(100)

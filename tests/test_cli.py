@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gofevid.cli import main
+from gofevid.cli import MAX_COUNT_VALUE, main
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +124,15 @@ class TestFitPoisson:
         assert code == 0
         assert json.loads(out)["n"] == 800
 
+    def test_index_above_limit_rejected(self, capsys, tmp_path, monkeypatch):
+        # the limit is checked before the dense table is allocated
+        monkeypatch.setattr(np, "zeros", None)
+        f = tmp_path / "counts.csv"
+        f.write_text(f"0,5\n{MAX_COUNT_VALUE + 1},1\n")
+        code, _, err = run_cli(capsys, "fit-poisson", str(f))
+        assert code == 1
+        assert str(MAX_COUNT_VALUE) in err
+
 
 class TestFitNormal:
     def test_simulated_normal_data(self, capsys, tmp_path):
@@ -182,6 +191,25 @@ class TestSimulate:
         row6 = next(l.split(",") for l in lines[1:] if l.split(",")[2] == "6.0")
         mean = float(row6[header.index("mean_t")])
         assert abs(mean - 0.95) < 0.07
+
+    @pytest.mark.parametrize("scenario,params,message", [
+        ("vst_lof_calibration", '{"nu": "a"}', "nu must be a positive number"),
+        ("vst_lof_calibration", '{"lambda_grid": 5}', "lambda_grid must be a nonempty list"),
+        ("poisson_fit_table", '{"dists": [["poisson"]]}', "bad dists entry"),
+        ("poisson_fit_table", '{"n_list": [100.5]}', "n_list entries must be integers"),
+    ])
+    def test_mistyped_params_exit_1(self, capsys, tmp_path, scenario, params, message):
+        code, _, err = run_cli(capsys, "simulate", "--scenario", scenario, "--reps", "100",
+                               "--out", str(tmp_path), "--params", params)
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / scenario).exists()
+
+    def test_workers_below_one_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
+                               "--reps", "1000", "--out", str(tmp_path), "--workers", "0")
+        assert code == 2
+        assert "--workers" in err
 
     def test_bad_params_json(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",

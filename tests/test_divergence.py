@@ -8,7 +8,6 @@ import oracles
 from gofevid.boundary import least_divergent_point
 from gofevid.dist import ChiSqParams, chisq_cdf
 from gofevid.divergence import (
-    DensityGrid,
     J_noncentral,
     J_uniform,
     chisq_density,
@@ -98,21 +97,6 @@ class TestChiSqDensity:
             got = chisq_density(x, ChiSqParams(nu, lam))
             want = stats.ncx2.pdf(x, nu, lam)
             assert np.max(np.abs(got / want - 1.0)) < 1e-8
-
-
-class TestDensityGrid:
-    def test_from_params_normalizes(self):
-        grid = DensityGrid.from_params(ChiSqParams(5, 8))
-        assert len(grid.support) == len(grid.values)
-
-    def test_invariant_enforced(self):
-        x = np.linspace(0, 10, 100)
-        with pytest.raises(ValueError):
-            DensityGrid(support=x, step=float(x[1] - x[0]), values=np.ones(100))
-
-    def test_rejects_unbounded_density(self):
-        with pytest.raises(ValueError):
-            DensityGrid.from_params(ChiSqParams(1, 0))
 
 
 class TestJNoncentral:

@@ -40,6 +40,10 @@ class TestEvidenceAgainst:
             evidence_against(-0.1, 5.0)
         with pytest.raises(ValueError):
             evidence_against(1.0, 0.0)
+        with pytest.raises(ValueError):
+            evidence_against(float("nan"), 5.0)
+        with pytest.raises(ValueError):
+            lof_transform(np.array([1.0, np.nan]), 5.0)
 
     @pytest.mark.parametrize("nu", NUS)
     def test_continuous_and_strictly_increasing(self, nu):
@@ -96,6 +100,10 @@ class TestEvidenceForEquivalence:
             EquivalenceParams(0.0, 12.0)
         with pytest.raises(ValueError):
             evidence_for_equivalence(-1.0, EquivalenceParams(5, 12))
+        with pytest.raises(ValueError):
+            evidence_for_equivalence(float("nan"), EquivalenceParams(5, 12))
+        with pytest.raises(ValueError):
+            equiv_transform(np.array([np.nan, 3.0]), EquivalenceParams(5, 12))
 
     @pytest.mark.parametrize("nu", NUS)
     def test_continuous_and_strictly_decreasing(self, nu):

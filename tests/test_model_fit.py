@@ -145,6 +145,11 @@ class TestEvidenceForPoisson:
         rep = evidence_for_poisson(table)
         assert rep.comb_counts.sum() == table.sum()
 
+    def test_two_combined_cells_rejected(self):
+        # 12 observations all equal to 3: combining leaves r = 2, so nu = r - 2 = 0
+        with pytest.raises(ValueError, match=r"r = 2 cells.*at least 3"):
+            evidence_for_poisson(np.array([0, 0, 0, 12]))
+
     def test_determinism(self):
         a = evidence_for_poisson(ALPHA).evidence.t
         b = evidence_for_poisson(ALPHA).evidence.t

@@ -6,6 +6,7 @@ import pytest
 from gofevid.boundary import euclid_d, least_divergent_point
 from gofevid.dist import ChiSqParams, RandomStream, sample_chisq
 from gofevid.evidence import EquivalenceParams
+from gofevid import pearson
 from gofevid.pearson import (
     CellData,
     equivalence_test,
@@ -179,6 +180,29 @@ class TestMultinomialPowerMC:
         bad = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             multinomial_power_mc(RandomStream(0, 0), 100, U6, bad, 0.05, 1000)
+
+    def test_true_probs_validated(self):
+        short = np.array([0.2, 0.2, 0.2, 0.2, 0.1])  # sums to 0.9
+        with pytest.raises(ValueError, match="true_probs"):
+            multinomial_power_mc(RandomStream(0, 0), 100, short, np.full(5, 0.2), 0.05, 1000)
+        negative = np.array([0.5, 0.5, 0.2, -0.2, 0.0, 0.0])
+        with pytest.raises(ValueError, match="true_probs"):
+            multinomial_power_mc(RandomStream(0, 0), 100, negative, U6, 0.05, 1000)
+
+    def test_threads_capped_at_blocks(self, monkeypatch):
+        pools = []
+
+        class Recorder(pearson.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pearson, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(pearson, "_POWER_BLOCK", 500)
+        a = multinomial_power_mc(RandomStream(3, 1), 100, U6, U6, 0.05, 1000, workers=4)
+        assert pools == [2]  # 1000 reps form 2 blocks of 500
+        b = multinomial_power_mc(RandomStream(3, 1), 100, U6, U6, 0.05, 1000, workers=1)
+        assert a.power == b.power
 
     def test_asymptotic_vs_exact_gap(self):
         # the noncentral approximation overshoots the exact multinomial power

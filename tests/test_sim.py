@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
+from gofevid import sim
 from gofevid.sim import (
     PoissonCellSummary,
     SimConfig,
@@ -170,6 +171,40 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(scenario="normal_fit_table", reps=1000, seed=0,
                       params={"families": ["cauchy"]})
+
+    @pytest.mark.parametrize("scenario,params", [
+        ("vst_lof_calibration", {"nu": "a"}),
+        ("vst_lof_calibration", {"lambda_grid": 5}),
+        ("vst_lof_calibration", {"lambda_grid": []}),
+        ("poisson_fit_table", {"dists": [["poisson"]]}),
+        ("poisson_fit_table", {"dists": [["neg_binomial", 5]]}),
+        ("poisson_fit_table", {"n_list": [100.5]}),
+        ("normal_fit_table", {"families": 3}),
+        ("table1_models", {"n": "100"}),
+    ])
+    def test_mistyped_params(self, scenario, params):
+        with pytest.raises(ValueError):
+            SimConfig(scenario=scenario, reps=1000, seed=0, params=params)
+
+    def test_params_must_be_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            SimConfig(scenario="table1_models", reps=1000, seed=0, params=5)
+
+
+class TestMapUnits:
+    def test_threads_capped_at_units(self, monkeypatch):
+        pools = []
+
+        class Recorder(sim.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
+        assert sim._map_units(lambda x: 2 * x, [1, 2], workers=4) == [2, 4]
+        assert pools == [2]
+        assert sim._map_units(lambda x: 2 * x, [1], workers=4) == [2]
+        assert pools == [2]  # a single unit runs inline
 
 
 class TestRunScenario:
