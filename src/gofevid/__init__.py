@@ -3,6 +3,8 @@ chi-squared statistics, with equivalence boundaries, sample-size planning,
 divergence utilities, model-fit pipelines, and a reproducible Monte Carlo
 harness."""
 
+__version__ = "0.1.0"  # defined before the submodules, which record it in run manifests
+
 from .dist import (
     ChiSqParams,
     RandomStream,
@@ -72,5 +74,3 @@ from .sim import (
     run_vst_equiv,
     run_vst_lof,
 )
-
-__version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .sim import SCENARIOS, SimConfig, run_scenario
 
 
 MAX_COUNT_VALUE = 1_000_000  # largest value an 'index,count' line may give
+MAX_COUNT = 2**53  # largest count, and largest total, that float64 holds exactly
 
 
 class ParseError(ValueError):
@@ -65,6 +66,8 @@ def _parse_counts(path: str) -> tuple[list[int] | None, list[int]]:
                 raise ValueError("expected 'count' or 'index,count'")
             if cnt < 0:
                 raise ValueError("counts must be nonnegative")
+            if cnt > MAX_COUNT:
+                raise ValueError(f"count {cnt} exceeds the limit 2**53")
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if indexed is None:
@@ -75,6 +78,8 @@ def _parse_counts(path: str) -> tuple[list[int] | None, list[int]]:
         counts.append(cnt)
     if not counts:
         raise ParseError(f"{path}: no counts found")
+    if sum(counts) > MAX_COUNT:
+        raise ParseError(f"{path}: the counts total {sum(counts)}, above the limit 2**53")
     return (indices if indexed else None), counts
 
 

@@ -24,6 +24,9 @@ __all__ = [
     "sample_chisq",
     "sample_family",
     "FAMILIES",
+    "MAX_COUNT_CELLS",
+    "count_support",
+    "count_pmf",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -175,6 +178,59 @@ FAMILIES = {
     "poisson": _sample_poisson,
     "neg_binomial": _sample_neg_binomial,
 }
+
+
+MAX_COUNT_CELLS = 1_000_000  # widest count table count_pmf builds
+_COUNT_TAIL = 1e-20  # P(X >= K) left in the last cell of a count table
+
+
+def _count_law(kind: str, mu: float, alpha: float):
+    """(cdf, sf) of a count law on integer arrays: P(X <= k) and P(X >= k)."""
+    if not (mu > 0 and alpha >= 0):
+        raise ValueError("need mu > 0 and alpha >= 0")
+    if kind == "poisson" or (kind == "neg_binomial" and alpha == 0.0):
+        return (lambda k: special.pdtr(k, mu)), (lambda k: special.pdtrc(k - 1, mu))
+    if kind == "neg_binomial":
+        # numpy's negative_binomial(1/alpha, 1/(1 + alpha mu)), as in sample_family
+        size, p = 1.0 / alpha, 1.0 / (1.0 + alpha * mu)
+        q = alpha * mu / (1.0 + alpha * mu)
+        return (lambda k: special.betainc(size, k + 1.0, p)), (lambda k: special.betainc(k, size, q))
+    raise ValueError(f"unknown count distribution {kind!r}")
+
+
+def count_support(kind: str, mu: float, alpha: float = 0.0) -> int:
+    """Smallest K >= 1 with P(X >= K) < 1e-20, found without allocating.
+
+    Raises ValueError when the table over 0..K would exceed MAX_COUNT_CELLS.
+    """
+    _, sf = _count_law(kind, mu, alpha)
+    lo, hi = 0, 1  # sf(lo) >= tail > sf(hi) once the doubling stops
+    while sf(hi) >= _COUNT_TAIL:
+        lo, hi = hi, 2 * hi
+        if hi >= MAX_COUNT_CELLS and sf(MAX_COUNT_CELLS - 1) >= _COUNT_TAIL:
+            raise ValueError(f"{kind} with mu = {mu:g}, alpha = {alpha:g} needs more than "
+                             f"{MAX_COUNT_CELLS} count cells to leave P(X >= K) < {_COUNT_TAIL:g}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sf(mid) >= _COUNT_TAIL else (lo, mid)
+    return hi
+
+
+def count_pmf(kind: str, mu: float, alpha: float = 0.0) -> np.ndarray:
+    """P(X = k) for k < K and P(X >= K) in cell K, K = count_support(...).
+
+    ``kind`` is "poisson" or "neg_binomial" (mean mu, variance mu + alpha mu^2,
+    the law sample_family draws).  The frequency table of n iid draws is then
+    exactly Multinomial(n, count_pmf(...)).
+    """
+    K = count_support(kind, mu, alpha)
+    cdf, _ = _count_law(kind, mu, alpha)
+    c = cdf(np.arange(K))
+    pmf = np.empty(K + 1)
+    pmf[0] = c[0]
+    pmf[1:K] = np.diff(c)
+    pmf[K] = 1.0 - c[-1]
+    return pmf
 
 
 def sample_family(stream: RandomStream, family: str, size=None, **params):

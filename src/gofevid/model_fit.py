@@ -4,6 +4,11 @@ Both reduce the data to a Pearson statistic on cells built from estimated
 parameters, then apply the equivalence-evidence transform with boundary
 lambda0 = n k^2 / (r - 1).  Degrees of freedom follow the estimated-parameter
 convention: nu = r - 3 for normality, nu = r - 2 for the Poisson pipeline.
+
+The binning, tail-cell combining and statistic work on rows of a 2-d array,
+so ``normality_evidence_rows`` and ``poisson_evidence_rows`` fit a batch of
+replications at once; the report functions run the same code on one row and
+give bit-identical values.
 """
 
 from __future__ import annotations
@@ -16,18 +21,21 @@ from scipy import special
 
 from .boundary import lambda0_uniform
 from .dist import normal_quantile
-from .evidence import EquivalenceParams, EvidenceValue, evidence_for_equivalence, \
-    max_expected_evidence
-from .pearson import CellData, pearson_stat
+from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
+    evidence_for_equivalence, max_expected_evidence
+from .pearson import CellData, pearson_stat, pearson_stats
 
 __all__ = [
     "NormalFitReport",
     "PoissonFitReport",
+    "UndefinedFit",
     "choose_r_normal",
     "evidence_for_normality",
+    "normality_evidence_rows",
     "poisson_mle",
     "combine_cells_poisson",
     "evidence_for_poisson",
+    "poisson_evidence_rows",
     "approx_r_poisson",
     "dasgupta_ratio",
 ]
@@ -117,6 +125,38 @@ def choose_r_normal(n: int) -> int:
     return max(10, int(math.ceil(math.log(n))))
 
 
+def _normal_cells(x: np.ndarray, k: float):
+    """Row-wise MLE fit and equiprobable binning of a (rows, n) array.
+
+    Returns (edges, counts): per row, the r - 1 edges xbar + s Phi^{-1}(j/r)
+    with the divisor-n MLE scale s, and the counts of the r cells, where an
+    observation on an edge goes to the right cell.
+    """
+    n = x.shape[1]
+    if n < 100:
+        raise ValueError("need n >= 100 observations")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("data must be finite")
+    if not (0.0 < k <= 1.0):
+        raise ValueError("k must lie in (0, 1]")
+    xbar = x.mean(axis=1, keepdims=True)
+    s = x.std(axis=1, keepdims=True)  # maximum likelihood scale (divisor n)
+    if np.any(s == 0.0):
+        raise ValueError("degenerate data: sample standard deviation is 0")
+    r = choose_r_normal(n)
+    edges = xbar + s * normal_quantile(np.arange(1, r) / r)
+    cell = np.zeros(x.shape, dtype=np.intp)
+    for j in range(r - 1):
+        cell += x >= edges[:, j : j + 1]
+    cell += r * np.arange(len(x))[:, None]
+    counts = np.bincount(cell.ravel(), minlength=len(x) * r).reshape(len(x), r)
+    return edges, counts
+
+
+def _normal_params(n: int, r: int, k: float) -> EquivalenceParams:
+    return EquivalenceParams(nu=float(r - 3), lambda0=lambda0_uniform(n, r, k))
+
+
 def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True) -> NormalFitReport:
     """Evidence that the data are normal, via equiprobable cells at the MLE.
 
@@ -127,30 +167,31 @@ def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True)
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValueError("data must be a 1-d sequence")
-    n = len(x)
-    if n < 100:
-        raise ValueError("need n >= 100 observations")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
-    if not (0.0 < k <= 1.0):
-        raise ValueError("k must lie in (0, 1]")
-    xbar = float(x.mean())
-    s = float(x.std())  # maximum likelihood scale (divisor n)
-    if s == 0.0:
-        raise ValueError("degenerate data: sample standard deviation is 0")
-    r = choose_r_normal(n)
-    edges = xbar + s * normal_quantile(np.arange(1, r) / r)
-    counts = np.bincount(np.searchsorted(edges, x, side="right"), minlength=r)
-    cells = CellData(counts=counts, null_probs=np.full(r, 1.0 / r))
+    edges, counts = _normal_cells(x[None, :], k)
+    n, r = len(x), counts.shape[1]
+    cells = CellData(counts=counts[0], null_probs=np.full(r, 1.0 / r))
     s_stat = pearson_stat(cells)
-    nu = float(r - 3)
-    params = EquivalenceParams(nu=nu, lambda0=lambda0_uniform(n, r, k))
+    params = _normal_params(n, r, k)
     return NormalFitReport(
-        n=n, r=r, edges=edges, counts=counts, s_stat=s_stat, nu=nu,
+        n=n, r=r, edges=edges[0], counts=cells.counts, s_stat=s_stat, nu=params.nu,
         lambda0=params.lambda0, m0=max_expected_evidence(params), k=k,
         bias_adjust=bias_adjust,
         evidence=evidence_for_equivalence(s_stat, params, bias_adjust),
     )
+
+
+def normality_evidence_rows(data, k: float = DEFAULT_K, bias_adjust: bool = True) -> np.ndarray:
+    """Evidence for normality of each row of a (rows, n) array.
+
+    Row i gives exactly ``evidence_for_normality(data[i], k, bias_adjust).evidence.t``.
+    """
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("data must be a (rows, n) array")
+    _, counts = _normal_cells(x, k)
+    n, r = x.shape[1], counts.shape[1]
+    s_stat = pearson_stats(counts, np.full(r, 1.0 / r))
+    return equiv_transform(s_stat, _normal_params(n, r, k), bias_adjust)
 
 
 def poisson_mle(counts) -> float:
@@ -160,10 +201,66 @@ def poisson_mle(counts) -> float:
         raise ValueError("counts must be a nonempty 1-d frequency table")
     if np.any(nu_j < 0) or not np.allclose(nu_j, np.round(nu_j)):
         raise ValueError("counts must be nonnegative integers")
-    n = nu_j.sum()
-    if n < 1:
+    if nu_j.sum() < 1:
         raise ValueError("need at least one observation")
-    return float((np.arange(len(nu_j)) * nu_j).sum() / n)
+    return float(_mle_rows(nu_j[None, :])[0])
+
+
+def _mle_rows(tables: np.ndarray) -> np.ndarray:
+    """Maximum likelihood mean of each row of a (rows, K) frequency-table array."""
+    t = tables.astype(float)
+    return (np.arange(t.shape[1]) * t).sum(axis=1) / t.sum(axis=1)
+
+
+class UndefinedFit(ValueError):
+    """The Poisson fit of one row of a batch is undefined; ``row`` is its index."""
+
+    def __init__(self, row: int, cause: str):
+        super().__init__(cause)
+        self.row = row
+
+
+def _tail_cells(n: int, mu: np.ndarray):
+    """Tail-cell combining for each mu at sample size n.
+
+    Returns (r0, r, cdf): per row the combined-cell layout described in
+    ``combine_cells_poisson`` and the Poisson CDF on 0, 1, ... at that mu.
+    """
+    if n < 10:
+        raise ValueError(f"n = {n} is too small to form cells with expected count >= 5")
+    kmax = (mu + 12.0 * np.sqrt(mu) + 30.0).astype(np.int64)
+    while True:  # widen until the upper tail beyond kmax expects fewer than 5
+        short = n * (1.0 - special.pdtr(kmax - 1, mu)) >= _MIN_EXPECTED
+        if not short.any():
+            break
+        kmax[short] *= 2
+    cdf = special.pdtr(np.arange(kmax.max() + 1), mu[:, None])
+    # n >= 10 and n (1 - cdf[kmax - 1]) < 5 give n cdf[kmax - 1] > 5: every row has a left cell
+    r0 = (n * cdf >= _MIN_EXPECTED).argmax(axis=1) - 1  # first combined cell is {X <= r0 + 1}
+    sf = 1.0 - cdf[:, :-1]  # sf[:, k - 1] = P(X >= k) for k >= 1
+    hi_ok = n * sf >= _MIN_EXPECTED
+    hi = np.where(hi_ok.any(axis=1), sf.shape[1] - hi_ok[:, ::-1].argmax(axis=1), 0)
+    return r0, hi - r0, cdf
+
+
+def _cell_probs(cdf: np.ndarray, r0: int, r: int) -> np.ndarray:
+    """Combined-cell probabilities, one row per CDF row."""
+    probs = np.empty((len(cdf), r))
+    probs[:, 0] = cdf[:, r0 + 1]
+    probs[:, 1 : r - 1] = np.diff(cdf[:, r0 + 1 : r0 + r], axis=1)
+    probs[:, r - 1] = 1.0 - cdf[:, r0 + r - 1]
+    return probs
+
+
+def _fold_counts(tables: np.ndarray, r0: int, r: int) -> np.ndarray:
+    """Fold frequency tables (one per row) into the r combined cells."""
+    padded = np.zeros((len(tables), max(tables.shape[1], r0 + r + 1)), dtype=np.int64)
+    padded[:, : tables.shape[1]] = tables
+    out = np.empty((len(tables), r), dtype=np.int64)
+    out[:, 0] = padded[:, : r0 + 2].sum(axis=1)
+    out[:, 1 : r - 1] = padded[:, r0 + 2 : r0 + r]
+    out[:, r - 1] = padded[:, r0 + r :].sum(axis=1)
+    return out
 
 
 def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
@@ -175,39 +272,46 @@ def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    if n < 10:
-        raise ValueError(f"n = {n} is too small to form cells with expected count >= 5")
-    kmax = int(mu + 12.0 * math.sqrt(mu) + 30.0)
-    while True:
-        cdf = special.pdtr(np.arange(kmax + 1), mu)
-        if n * (1.0 - cdf[-2]) < _MIN_EXPECTED:
-            break
-        kmax *= 2
-    lo_ok = np.nonzero(n * cdf >= _MIN_EXPECTED)[0]
-    if len(lo_ok) == 0:
-        raise ValueError(f"n = {n} is too small for mu = {mu}: no left cell reaches expected count 5")
-    r0 = int(lo_ok[0]) - 1  # first combined cell is {X <= r0 + 1}
-    sf = np.concatenate([[1.0], 1.0 - cdf[:-1]])  # sf[k] = P(X >= k)
-    hi = int(np.nonzero(n * sf >= _MIN_EXPECTED)[0][-1])
-    r = hi - r0
+    r0, r, cdf = _tail_cells(n, np.array([float(mu)]))
+    r0, r = int(r0[0]), int(r[0])
     if r < 2:
         raise ValueError(f"n = {n} is too small for mu = {mu}: fewer than 2 cells remain")
-    probs = np.empty(r)
-    probs[0] = cdf[r0 + 1]
-    probs[1 : r - 1] = np.diff(cdf[r0 + 1 : r0 + r])
-    probs[r - 1] = 1.0 - cdf[r0 + r - 1]
-    return r0, r, probs
+    return r0, r, _cell_probs(cdf, r0, r)[0]
 
 
-def _fold_counts(nu_j: np.ndarray, r0: int, r: int) -> np.ndarray:
-    """Fold an observed frequency table into the r combined cells."""
-    padded = np.zeros(max(len(nu_j), r0 + r + 1), dtype=np.int64)
-    padded[: len(nu_j)] = nu_j
-    out = np.empty(r, dtype=np.int64)
-    out[0] = padded[: r0 + 2].sum()
-    out[1 : r - 1] = padded[r0 + 2 : r0 + r]
-    out[r - 1] = padded[r0 + r :].sum()
-    return out
+def _poisson_groups(tables: np.ndarray):
+    """Fit Poisson cells to each row of a (rows, K) frequency-table array.
+
+    All rows must have the same total n.  Returns (n, mu_hat, groups), where
+    each group (rows, r0, r, probs, counts) holds the rows sharing one
+    combined-cell layout.  Raises UndefinedFit for the first row whose fit is
+    undefined: mu_hat = 0, or fewer than 3 cells after combining.
+    """
+    n = int(tables[0].sum())
+    if np.any(tables.sum(axis=1) != n):
+        raise ValueError("every frequency table in a batch must have the same total")
+    if n < 1:
+        raise ValueError("need at least one observation")
+    mu = _mle_rows(tables)
+    r0, r, cdf = _tail_cells(n, np.where(mu > 0, mu, 1.0))  # mu_hat = 0 rows are rejected below
+    undefined = np.flatnonzero((mu == 0) | (r < 3))
+    if len(undefined):
+        i = int(undefined[0])
+        if mu[i] == 0:
+            raise UndefinedFit(i, "every observed value is 0, so mu_hat = 0 and the Poisson "
+                                  "fit is undefined")
+        raise UndefinedFit(i, f"tail-cell combining left r = {r[i]} cells at mu_hat = {mu[i]:g}; "
+                              "the Poisson fit needs at least 3 (nu = r - 2)")
+    groups = []
+    for g_r0, g_r in sorted(set(zip(r0.tolist(), r.tolist()))):
+        rows = np.flatnonzero((r0 == g_r0) & (r == g_r))
+        groups.append((rows, g_r0, g_r, _cell_probs(cdf[rows], g_r0, g_r),
+                       _fold_counts(tables[rows], g_r0, g_r)))
+    return n, mu, groups
+
+
+def _poisson_params(n: int, r: int, k: float) -> EquivalenceParams:
+    return EquivalenceParams(nu=float(r - 2), lambda0=lambda0_uniform(n, r, k))
 
 
 def evidence_for_poisson(counts, k: float = DEFAULT_K, bias_adjust: bool = True) -> PoissonFitReport:
@@ -223,22 +327,43 @@ def evidence_for_poisson(counts, k: float = DEFAULT_K, bias_adjust: bool = True)
     if not (0.0 < k <= 1.0):
         raise ValueError("k must lie in (0, 1]")
     mu_hat = poisson_mle(nu_j)
-    n = int(np.asarray(nu_j).sum())
-    r0, r, comb_probs = combine_cells_poisson(n, mu_hat)
-    if r < 3:
-        raise ValueError(f"tail-cell combining left r = {r} cells at mu_hat = {mu_hat:g}; "
-                         "the Poisson fit needs at least 3 (nu = r - 2)")
-    comb_counts = _fold_counts(nu_j.astype(np.int64), r0, r)
-    cells = CellData(counts=comb_counts, null_probs=comb_probs)
+    n, _, [(_, r0, r, comb_probs, comb_counts)] = _poisson_groups(nu_j.astype(np.int64)[None, :])
+    cells = CellData(counts=comb_counts[0], null_probs=comb_probs[0])
     s_stat = pearson_stat(cells)
-    nu = float(r - 2)
-    params = EquivalenceParams(nu=nu, lambda0=lambda0_uniform(n, r, k))
+    params = _poisson_params(n, r, k)
     return PoissonFitReport(
-        n=n, mu_hat=mu_hat, r0=r0, r=r, comb_probs=comb_probs,
-        comb_counts=comb_counts, s_stat=s_stat, nu=nu, lambda0=params.lambda0,
+        n=n, mu_hat=mu_hat, r0=r0, r=r, comb_probs=cells.null_probs,
+        comb_counts=cells.counts, s_stat=s_stat, nu=params.nu, lambda0=params.lambda0,
         m0=max_expected_evidence(params), k=k, bias_adjust=bias_adjust,
         evidence=evidence_for_equivalence(s_stat, params, bias_adjust),
     )
+
+
+def poisson_evidence_rows(tables, k: float = DEFAULT_K, bias_adjust: bool = True):
+    """Evidence for a Poisson law in each row of a (rows, K) frequency-table array.
+
+    Every row must have the same total n.  Returns (mu_hat, r, m0, t) arrays;
+    row i gives the mu_hat, r, m0 and evidence.t of
+    ``evidence_for_poisson(tables[i], k, bias_adjust)``.  A row whose fit is
+    undefined raises UndefinedFit carrying its index.
+    """
+    tables = np.asarray(tables)
+    if tables.ndim != 2 or len(tables) == 0 or not np.issubdtype(tables.dtype, np.integer):
+        raise ValueError("tables must be a nonempty (rows, K) integer array")
+    if np.any(tables < 0):
+        raise ValueError("counts must be nonnegative integers")
+    if not (0.0 < k <= 1.0):
+        raise ValueError("k must lie in (0, 1]")
+    n, mu, groups = _poisson_groups(tables)
+    r_out = np.empty(len(tables))
+    m0 = np.empty(len(tables))
+    t = np.empty(len(tables))
+    for rows, _, r, probs, counts in groups:
+        params = _poisson_params(n, r, k)
+        r_out[rows] = r
+        m0[rows] = max_expected_evidence(params)
+        t[rows] = equiv_transform(pearson_stats(counts, probs), params, bias_adjust)
+    return mu, r_out, m0, t
 
 
 def approx_r_poisson(n: float, mu: float) -> float:

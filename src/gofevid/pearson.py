@@ -14,6 +14,7 @@ from .evidence import EquivalenceParams
 __all__ = [
     "CellData",
     "pearson_stat",
+    "pearson_stats",
     "ncp_lambda",
     "power_lack_of_fit",
     "power_equivalence",
@@ -25,6 +26,36 @@ __all__ = [
 
 _MIN_PROB = 1e-12
 _POWER_BLOCK = 100  # replications per work unit of multinomial_power_mc
+CHUNK_VALUES = 1 << 14  # values held at once when replications are stacked into rows
+
+
+def row_blocks(lo: int, hi: int, width: int):
+    """Split rows lo..hi into (start, stop) blocks of at most CHUNK_VALUES
+    values, each row holding `width` values; every block has at least one row."""
+    step = max(1, CHUNK_VALUES // width)
+    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+
+
+def _check_cells(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """CellData's checks on the last axis of counts and probs; returns the totals."""
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative integers")
+    if np.any(probs <= _MIN_PROB):
+        raise ValueError("every null probability must exceed 1e-12")
+    sums = np.atleast_1d(probs.sum(axis=-1))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if len(bad):
+        raise ValueError(f"null_probs must sum to 1, got {float(sums[bad[0]])!r}")
+    n = counts.sum(axis=-1)
+    if np.any(n <= 0):
+        raise ValueError("total count must be positive")
+    return n
+
+
+def _pearson(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Sum of (observed - expected)^2 / expected along the last axis."""
+    expected = counts.sum(axis=-1, keepdims=True) * probs
+    return ((counts - expected) ** 2 / expected).sum(axis=-1)
 
 
 @dataclass
@@ -48,21 +79,30 @@ class CellData:
             raise ValueError("need at least one cell")
         if np.any(counts < 0) or not np.allclose(counts, np.round(counts)):
             raise ValueError("counts must be nonnegative integers")
-        if np.any(probs <= _MIN_PROB):
-            raise ValueError("every null probability must exceed 1e-12")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"null_probs must sum to 1, got {probs.sum()!r}")
         self.counts = counts.astype(np.int64)
         self.null_probs = probs
-        self.n = int(self.counts.sum())
-        if self.n <= 0:
-            raise ValueError("total count must be positive")
+        self.n = int(_check_cells(self.counts, probs))
 
 
 def pearson_stat(data: CellData) -> float:
     """Sum of (observed - expected)^2 / expected over the cells."""
-    expected = data.n * data.null_probs
-    return float(((data.counts - expected) ** 2 / expected).sum())
+    return float(_pearson(data.counts, data.null_probs))
+
+
+def pearson_stats(counts, null_probs) -> np.ndarray:
+    """Pearson statistic of each row of a (rows, r) integer count array.
+
+    null_probs is (r,) or (rows, r).  The rows get CellData's checks in
+    array form, and each row's statistic equals ``pearson_stat`` of that row.
+    """
+    counts = np.asarray(counts)
+    probs = np.asarray(null_probs, dtype=float)
+    if counts.ndim != 2 or probs.shape[-1:] != counts.shape[-1:] or counts.shape[1] == 0:
+        raise ValueError("counts must be a (rows, r) array and null_probs must have r columns")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError("counts must be nonnegative integers")
+    _check_cells(counts, probs)
+    return _pearson(counts, probs)
 
 
 def ncp_lambda(n: int, null_probs, alt_probs) -> float:
@@ -126,13 +166,12 @@ class PowerEstimate:
 
 
 def _power_chunk(stream: RandomStream, lo: int, hi: int, n: int,
-                 true_probs: np.ndarray, expected: np.ndarray, c: float) -> int:
+                 true_probs: np.ndarray, null_probs: np.ndarray, c: float) -> int:
     hits = 0
-    for i in range(lo, hi):
-        counts = stream.substream(i).gen.multinomial(n, true_probs)
-        s = ((counts - expected) ** 2 / expected).sum()
-        if s >= c:
-            hits += 1
+    for a, b in row_blocks(lo, hi, len(null_probs)):
+        counts = np.stack([stream.substream(i).gen.multinomial(n, true_probs)
+                           for i in range(a, b)])
+        hits += int(np.count_nonzero(_pearson(counts, null_probs) >= c))
     return hits
 
 
@@ -162,17 +201,16 @@ def multinomial_power_mc(
         raise ValueError("true_probs must be nonnegative and sum to 1")
     r = len(null_probs)
     c = chisq_quantile(1.0 - alpha, ChiSqParams(r - 1, 0.0))
-    expected = n * null_probs
 
     workers = min(workers, -(-reps // _POWER_BLOCK))  # at most one thread per block
     if workers <= 1:
-        hits = _power_chunk(stream, 0, reps, n, true_probs, expected, c)
+        hits = _power_chunk(stream, 0, reps, n, true_probs, null_probs, c)
     else:
         bounds = np.linspace(0, reps, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futs = [
                 pool.submit(_power_chunk, stream, int(lo), int(hi), n,
-                            true_probs, expected, c)
+                            true_probs, null_probs, c)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
             hits = sum(f.result() for f in futs)

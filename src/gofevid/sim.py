@@ -4,6 +4,13 @@ Every scenario is reproducible from (config, seed): each grid point or table
 cell owns the substream derived from its position, and within table cells
 each replication owns a further substream, so output is byte-identical for
 any worker count.
+
+The fit tables stack their replications into rows and fit a block of rows at
+once.  A normal-table replication draws its n values.  A count-table
+replication draws its frequency table directly, as one Multinomial(n, pmf)
+draw over the law's support (``dist.count_pmf``): the frequency table of n
+iid draws has exactly that law.  That is stream layout 2; layout 1 drew the n
+values and counted them.
 """
 
 from __future__ import annotations
@@ -17,13 +24,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import ChiSqParams, RandomStream, sample_chisq, sample_family
+from .dist import ChiSqParams, RandomStream, count_pmf, count_support, sample_chisq, \
+    sample_family
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
-from .model_fit import evidence_for_normality, evidence_for_poisson
-from .pearson import multinomial_power_mc
+from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
+from .pearson import multinomial_power_mc, row_blocks
 
 __all__ = [
     "SimConfig",
@@ -53,6 +63,7 @@ TABLE4_DISTS = tuple(
     + [("neg_binomial", mu, 0.01) for mu in (1, 5, 10, 20)]
 )
 TABLE_N_LIST = (100, 400, 1600, 6400)
+STREAM_LAYOUT = 2  # 2: count-table replications draw their frequency table as one multinomial
 
 
 @dataclass(frozen=True)
@@ -135,6 +146,7 @@ def _check_dist(dist) -> None:
     if not ok:
         raise ValueError(f"bad dists entry {dist!r}: expected [\"poisson\", mu] or "
                          "[\"neg_binomial\", mu, alpha] with mu > 0 and alpha >= 0")
+    count_support(*dist)  # bounds the table width before anything is allocated
 
 
 def _validate_params(scenario: str, params: dict) -> None:
@@ -224,42 +236,40 @@ def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 
         idx, (family, n) = item
         cell_stream = RandomStream(seed, idx)
         ts = np.empty(reps)
-        for i in range(reps):
-            data = _draw_table3(cell_stream.substream(i), family, n)
-            ts[i] = evidence_for_normality(data).evidence.t
+        for lo, hi in row_blocks(0, reps, n):
+            data = np.stack([_draw_table3(cell_stream.substream(i), family, n)
+                             for i in range(lo, hi)])
+            ts[lo:hi] = normality_evidence_rows(data)
         return _summarize((family, n), ts)
 
     return _map_units(unit, list(enumerate(cells)), workers)
 
 
-def _draw_table4(stream: RandomStream, dist: tuple, n: int) -> np.ndarray:
-    kind = dist[0]
-    if kind == "poisson":
-        values = sample_family(stream, "poisson", size=n, mu=dist[1])
-    elif kind == "neg_binomial":
-        values = sample_family(stream, "neg_binomial", size=n, mu=dist[1], alpha=dist[2])
-    else:
-        raise ValueError(f"unknown count distribution {dist!r}")
-    return np.bincount(values)
-
-
 def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
                       seed: int = 0, workers: int = 1):
-    """Evidence-for-Poisson summaries (plus cell-count and m0 columns) per cell."""
+    """Evidence-for-Poisson summaries (plus cell-count and m0 columns) per cell.
+
+    Each replication draws its frequency table of n counts as one multinomial
+    over ``count_pmf(*dist)``; a replication whose fit is undefined stops the
+    run with a ValueError naming the cell and the replication.
+    """
     cells = [(tuple(dist), int(n)) for dist in dists for n in n_list]
 
     def unit(item):
         idx, (dist, n) = item
         cell_stream = RandomStream(seed, idx)
+        pmf = count_pmf(*dist)
         ts = np.empty(reps)
         rs = np.empty(reps)
         m0s = np.empty(reps)
-        for i in range(reps):
-            counts = _draw_table4(cell_stream.substream(i), dist, n)
-            report = evidence_for_poisson(counts)
-            ts[i] = report.evidence.t
-            rs[i] = report.r
-            m0s[i] = report.m0
+        for lo, hi in row_blocks(0, reps, len(pmf)):
+            tables = np.stack([cell_stream.substream(i).gen.multinomial(n, pmf)
+                               for i in range(lo, hi)])
+            try:
+                _, rs[lo:hi], m0s[lo:hi], ts[lo:hi] = poisson_evidence_rows(tables)
+            except UndefinedFit as exc:
+                raise ValueError(f"poisson_fit_table cell {list(dist)}, n = {n}, "
+                                 f"replication {lo + exc.row}: {exc}") from None
         base = _summarize((dist, n), ts)
         return PoissonCellSummary(
             grid_point=base.grid_point, mean_t=base.mean_t, sd_t=base.sd_t,
@@ -362,6 +372,9 @@ def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
             "params": config.params,
             "rows": len(rows),
             "elapsed_s": elapsed,
+            "stream_layout": STREAM_LAYOUT,
+            "versions": {"gofevid": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__},
         }
         (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return rows

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gofevid.cli import MAX_COUNT_VALUE, main
+from gofevid.cli import MAX_COUNT, MAX_COUNT_VALUE, main
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,31 @@ class TestFitPoisson:
         assert str(MAX_COUNT_VALUE) in err
 
 
+class TestCountLimit:
+    @pytest.mark.parametrize("command", ["fit-poisson", "evidence-lof", "evidence-equiv"])
+    def test_count_above_2_53_rejected(self, capsys, tmp_path, command):
+        f = tmp_path / "counts.csv"
+        f.write_text("5\n99999999999999999999999\n")
+        code, _, err = run_cli(capsys, command, str(f))
+        assert code == 1
+        assert "counts.csv:2:" in err and "2**53" in err
+
+    @pytest.mark.parametrize("command", ["fit-poisson", "evidence-lof"])
+    def test_total_above_2_53_rejected(self, capsys, tmp_path, command):
+        f = tmp_path / "counts.csv"
+        f.write_text(f"0,{MAX_COUNT // 2}\n1,{MAX_COUNT // 2 + 1}\n")
+        code, _, err = run_cli(capsys, command, str(f))
+        assert code == 1
+        assert "total" in err and "2**53" in err
+
+    def test_count_at_2_53_accepted(self, capsys, tmp_path):
+        f = tmp_path / "counts.csv"
+        f.write_text(f"{MAX_COUNT // 2}\n{MAX_COUNT // 2}\n")
+        code, out, _ = run_cli(capsys, "evidence-lof", str(f), "-f", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == MAX_COUNT
+
+
 class TestFitNormal:
     def test_simulated_normal_data(self, capsys, tmp_path):
         rng = np.random.default_rng(9)
@@ -204,6 +229,25 @@ class TestSimulate:
         assert code == 1
         assert message in err
         assert not (tmp_path / scenario).exists()
+
+    @pytest.mark.parametrize("mu,cause", [
+        (0.001, "every observed value is 0, so mu_hat = 0"),
+        (0.05, "tail-cell combining left r = 2 cells"),
+    ])
+    def test_undefined_poisson_fit_names_replication(self, capsys, tmp_path, mu, cause):
+        params = json.dumps({"dists": [["poisson", mu]], "n_list": [100]})
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "poisson_fit_table",
+                               "--reps", "100", "--seed", "0", "--out", str(tmp_path),
+                               "--params", params)
+        assert code == 1
+        assert f"cell ['poisson', {mu}], n = 100, replication 0: {cause}" in err
+
+    def test_count_support_bounded(self, capsys, tmp_path):
+        # the support width is checked before any table is allocated
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", "poisson_fit_table",
+                             "--reps", "100", "--out", str(tmp_path),
+                             "--params", '{"dists": [["poisson", 1e9]], "n_list": [100]}')
+        assert code == 1
 
     def test_workers_below_one_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",

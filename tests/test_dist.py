@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import oracles
 from gofevid.dist import (
+    MAX_COUNT_CELLS,
     ChiSqParams,
     RandomStream,
     chisq_cdf,
     chisq_mean_var,
     chisq_quantile,
+    count_pmf,
+    count_support,
     normal_cdf,
     normal_quantile,
     sample_chisq,
@@ -233,3 +236,53 @@ class TestSampleFamily:
             sample_family(s, "neg_binomial", mu=-1.0, alpha=0.1)
         with pytest.raises(ValueError):
             sample_family(s, "no_such_family")
+
+
+COUNT_LAWS = [("poisson", 0.001), ("poisson", 1.0), ("poisson", 5.0), ("poisson", 20.0),
+              ("neg_binomial", 1.0, 0.01), ("neg_binomial", 20.0, 0.01), ("neg_binomial", 5.0, 2.0)]
+
+
+class TestCountPmf:
+    @pytest.mark.parametrize("law", COUNT_LAWS)
+    def test_sums_to_one_and_matches_cdf_differences(self, law):
+        pmf = count_pmf(*law)
+        K = len(pmf) - 1
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.all(pmf >= 0)
+        k = np.arange(K)
+        if law[0] == "poisson":
+            cdf = special.pdtr(k, law[1])
+            ref = stats.poisson.pmf(k, law[1])
+        else:
+            size, p = 1.0 / law[2], 1.0 / (1.0 + law[2] * law[1])
+            cdf = special.betainc(size, k + 1.0, p)
+            ref = stats.nbinom.pmf(k, size, p)
+        assert np.array_equal(pmf[:K], np.diff(cdf, prepend=0.0))
+        assert np.allclose(pmf[:K], ref, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("law", COUNT_LAWS)
+    def test_support_leaves_tail_below_1e_20(self, law):
+        K = count_support(*law)
+        if law[0] == "poisson":
+            sf = lambda k: stats.poisson.sf(k - 1, law[1])
+        else:
+            sf = lambda k: stats.nbinom.sf(k - 1, 1.0 / law[2], 1.0 / (1.0 + law[2] * law[1]))
+        assert sf(K) < 1e-20 <= sf(K - 1)
+
+    def test_alpha_zero_is_poisson(self):
+        assert np.array_equal(count_pmf("neg_binomial", 7.0, 0.0), count_pmf("poisson", 7.0))
+
+    @pytest.mark.parametrize("law", [("poisson", 1e9), ("neg_binomial", 1.0, 1e6)])
+    def test_support_above_ceiling_rejected(self, law, monkeypatch):
+        # the width is found without allocating; nothing array-sized may be built
+        monkeypatch.setattr(np, "arange", None)
+        with pytest.raises(ValueError, match=str(MAX_COUNT_CELLS)):
+            count_support(*law)
+        with pytest.raises(ValueError, match=str(MAX_COUNT_CELLS)):
+            count_pmf(*law)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            count_pmf("poisson", 0.0)
+        with pytest.raises(ValueError):
+            count_pmf("geometric", 1.0)

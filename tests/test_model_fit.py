@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gofevid.dist import RandomStream, sample_family
+from gofevid.dist import RandomStream, count_pmf, sample_family
+from gofevid.evidence import EquivalenceParams, equiv_transform
 from gofevid.fixtures import ALPHA_EMISSIONS_COUNTS
 from gofevid.model_fit import (
     approx_r_poisson,
@@ -13,7 +14,10 @@ from gofevid.model_fit import (
     dasgupta_ratio,
     evidence_for_normality,
     evidence_for_poisson,
+    normality_evidence_rows,
+    poisson_evidence_rows,
     poisson_mle,
+    UndefinedFit,
 )
 
 ALPHA = np.asarray(ALPHA_EMISSIONS_COUNTS)
@@ -165,6 +169,120 @@ class TestEvidenceForPoisson:
             values = sample_family(stream.substream(i), "poisson", size=1600, mu=5.0)
             ts[i] = evidence_for_poisson(np.bincount(values)).evidence.t
         assert abs(ts.mean() - 3.89) < 0.1
+
+
+def _normal_t_loop(x, k=0.5, bias_adjust=True):
+    """One replication of the normality pipeline in 1-d operations, as the
+    per-replication loop computed it before the fit was batched."""
+    n = len(x)
+    r = max(10, math.ceil(math.log(n)))
+    edges = x.mean() + x.std() * special.ndtri(np.arange(1, r) / r)
+    counts = np.bincount(np.searchsorted(edges, x, side="right"), minlength=r)
+    expected = n * np.full(r, 1.0 / r)
+    s = float(((counts - expected) ** 2 / expected).sum())
+    return equiv_transform(s, EquivalenceParams(r - 3.0, n * k * k / (r - 1)), bias_adjust)
+
+
+def _poisson_fit_loop(table, k=0.5):
+    """One replication of the Poisson pipeline in 1-d operations: (mu_hat, r, m0, t)."""
+    n = int(table.sum())
+    mu = float((np.arange(len(table)) * table.astype(float)).sum() / n)
+    kmax = int(mu + 12.0 * math.sqrt(mu) + 30.0)
+    while True:
+        cdf = special.pdtr(np.arange(kmax + 1), mu)
+        if n * (1.0 - cdf[-2]) < 5.0:
+            break
+        kmax *= 2
+    r0 = int(np.nonzero(n * cdf >= 5.0)[0][0]) - 1
+    sf = np.concatenate([[1.0], 1.0 - cdf[:-1]])
+    r = int(np.nonzero(n * sf >= 5.0)[0][-1]) - r0
+    probs = np.concatenate([[cdf[r0 + 1]], np.diff(cdf[r0 + 1 : r0 + r]), [1.0 - cdf[r0 + r - 1]]])
+    padded = np.concatenate([table, np.zeros(r0 + r + 1, dtype=table.dtype)])
+    counts = np.concatenate([[padded[: r0 + 2].sum()], padded[r0 + 2 : r0 + r],
+                             [padded[r0 + r :].sum()]])
+    expected = n * probs
+    s = float(((counts - expected) ** 2 / expected).sum())
+    params = EquivalenceParams(r - 2.0, n * k * k / (r - 1))
+    m0 = math.sqrt(params.lambda0 + 0.5 * params.nu) - math.sqrt(0.5 * params.nu)
+    return mu, r, m0, equiv_transform(s, params)
+
+
+def _multinomial_tables(dist, n, reps, seed):
+    stream, pmf = RandomStream(seed, 0), count_pmf(*dist)
+    return np.stack([stream.substream(i).gen.multinomial(n, pmf) for i in range(reps)])
+
+
+class TestNormalityEvidenceRows:
+    @pytest.mark.parametrize("n", [100, 400, 6400, 30_000])
+    def test_rows_equal_loop_and_report(self, n):
+        rng = np.random.default_rng(6)
+        data = rng.standard_t(5, size=(6, n)) * 4.0 + 2.0
+        want = [_normal_t_loop(row) for row in data]
+        assert normality_evidence_rows(data).tolist() == want
+        assert [evidence_for_normality(row).evidence.t for row in data] == want
+        want = [evidence_for_normality(row, k=0.3, bias_adjust=False).evidence.t for row in data]
+        assert normality_evidence_rows(data, k=0.3, bias_adjust=False).tolist() == want
+
+    def test_errors(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="rows, n"):
+            normality_evidence_rows(rng.standard_normal(400))
+        data = rng.standard_normal((3, 400))
+        data[1] = 5.0
+        with pytest.raises(ValueError, match="degenerate"):
+            normality_evidence_rows(data)
+        data[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            normality_evidence_rows(data)
+
+
+class TestPoissonEvidenceRows:
+    @pytest.mark.parametrize("dist,n", [(("poisson", 5.0), 100), (("poisson", 20.0), 6400),
+                                        (("neg_binomial", 10.0, 0.01), 1600)])
+    def test_rows_equal_report(self, dist, n):
+        tables = _multinomial_tables(dist, n, 60, seed=70)
+        mu_hat, r, m0, t = poisson_evidence_rows(tables)
+        assert list(zip(mu_hat.tolist(), r.tolist(), m0.tolist(), t.tolist())) == \
+            [_poisson_fit_loop(row) for row in tables]
+        reports = [evidence_for_poisson(row) for row in tables]
+        assert mu_hat.tolist() == [rep.mu_hat for rep in reports]
+        assert r.tolist() == [rep.r for rep in reports]
+        assert m0.tolist() == [rep.m0 for rep in reports]
+        assert t.tolist() == [rep.evidence.t for rep in reports]
+        assert len(set(r.tolist())) > 1  # several combined-cell layouts in one batch
+
+    def test_undefined_row_is_named(self):
+        tables = np.array([[30, 40, 30], [100, 0, 0], [95, 5, 0]])
+        with pytest.raises(UndefinedFit, match="mu_hat = 0") as exc:
+            poisson_evidence_rows(tables)
+        assert exc.value.row == 1
+        with pytest.raises(UndefinedFit, match="r = 1 cells") as exc:
+            poisson_evidence_rows(tables[[0, 2]])
+        assert exc.value.row == 1
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="same total"):
+            poisson_evidence_rows(np.array([[5, 5], [5, 6]]))
+        with pytest.raises(ValueError, match="integer"):
+            poisson_evidence_rows(np.array([[5.0, 5.0]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            poisson_evidence_rows(np.array([[5, -1, 6]]))
+
+    @pytest.mark.parametrize("dist", [("poisson", 5.0), ("neg_binomial", 20.0, 0.01)])
+    def test_multinomial_tables_agree_with_direct_draws(self, dist):
+        # mean mu_hat and mean T from multinomial frequency tables against n
+        # direct draws per replication counted with np.bincount
+        n, reps = 400, 1500
+        mu_a, _, _, t_a = poisson_evidence_rows(_multinomial_tables(dist, n, reps, seed=71))
+        stream = RandomStream(72, 0)
+        kw = {"mu": dist[1]} if dist[0] == "poisson" else {"mu": dist[1], "alpha": dist[2]}
+        reports = [evidence_for_poisson(np.bincount(
+            sample_family(stream.substream(i), dist[0], size=n, **kw))) for i in range(reps)]
+        mu_b = np.array([rep.mu_hat for rep in reports])
+        t_b = np.array([rep.evidence.t for rep in reports])
+        for a, b in ((mu_a, mu_b), (t_a, t_b)):
+            se = math.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
+            assert abs(a.mean() - b.mean()) < 4 * se
 
 
 class TestApproxRPoisson:

@@ -13,6 +13,7 @@ from gofevid.pearson import (
     multinomial_power_mc,
     ncp_lambda,
     pearson_stat,
+    pearson_stats,
     power_equivalence,
     power_lack_of_fit,
 )
@@ -36,6 +37,30 @@ class TestCellData:
             CellData(counts=np.array([1, 2]), null_probs=np.array([0.9, 0.2]))
         with pytest.raises(ValueError):
             CellData(counts=np.array([1, 2]), null_probs=np.array([1.0 - 1e-13, 1e-13]))
+
+
+class TestPearsonStats:
+    def test_rows_equal_scalar_statistic(self):
+        rng = np.random.default_rng(2)
+        probs = rng.dirichlet(np.ones(13), size=40)
+        counts = np.stack([rng.multinomial(500, p) for p in probs])
+        want = [pearson_stat(CellData(counts=c, null_probs=p)) for c, p in zip(counts, probs)]
+        assert pearson_stats(counts, probs).tolist() == want
+        uniform = np.full(13, 1 / 13)  # one probability vector for every row
+        want = [pearson_stat(CellData(counts=c, null_probs=uniform)) for c in counts]
+        assert pearson_stats(counts, uniform).tolist() == want
+
+    @pytest.mark.parametrize("counts,probs,message", [
+        ([[1, 2], [-1, 4]], [0.5, 0.5], "nonnegative"),
+        ([[1, 2], [3, 4]], [1.0 - 1e-13, 1e-13], "exceed 1e-12"),
+        ([[1, 2], [3, 4]], [[0.5, 0.5], [0.9, 0.2]], "sum to 1, got 1.1"),
+        ([[1, 2], [0, 0]], [0.5, 0.5], "total count must be positive"),
+        ([[1.0, 2.0]], [0.5, 0.5], "integers"),
+        ([1, 2], [0.5, 0.5], "rows"),
+    ])
+    def test_celldata_checks_in_array_form(self, counts, probs, message):
+        with pytest.raises(ValueError, match=message):
+            pearson_stats(np.array(counts), np.array(probs))
 
 
 class TestPearsonStat:
@@ -171,6 +196,19 @@ class TestMultinomialPowerMC:
         a = multinomial_power_mc(RandomStream(11, 5), 100, p7, U6, 0.05, 3_000, workers=1)
         b = multinomial_power_mc(RandomStream(11, 5), 100, p7, U6, 0.05, 3_000, workers=3)
         assert a.power == b.power
+
+    def test_hits_equal_scalar_loop(self):
+        # the per-replication loop that the stacked rows replace
+        p7 = least_divergent_point(6, 0.15)
+        stream, n, reps = RandomStream(12, 4), 100, 3000
+        est = multinomial_power_mc(stream, n, p7, U6, 0.05, reps)
+        expected = n * U6
+        hits = 0
+        for i in range(reps):
+            counts = stream.substream(i).gen.multinomial(n, p7)
+            hits += ((counts - expected) ** 2 / expected).sum() >= est.critical_value
+        assert est.power == hits / reps
+        assert pearson._power_chunk(stream, 0, reps, n, p7, U6, est.critical_value) == hits
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy
 
 import oracles
+from gofevid import __version__
+from gofevid.dist import RandomStream
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
+from gofevid.model_fit import evidence_for_normality
 from gofevid import sim
 from gofevid.sim import (
     PoissonCellSummary,
@@ -91,6 +96,17 @@ class TestRunNormalTable:
         (row,) = run_normal_table(("normal",), (1600,), reps=2000, seed=43)
         assert abs(row.mean_t - 5.05) < 0.1
 
+    @pytest.mark.parametrize("family", sim.TABLE3_FAMILIES)
+    @pytest.mark.parametrize("n,reps", [(100, 200), (6400, 5)])
+    def test_batched_t_equals_report_on_same_substreams(self, family, n, reps):
+        # reps span more than one block of stacked rows at both sizes
+        cell_stream = RandomStream(46, 0)  # the stream of the run's first cell
+        ts = np.array([evidence_for_normality(
+            sim._draw_table3(cell_stream.substream(i), family, n)).evidence.t
+            for i in range(reps)])
+        (row,) = run_normal_table((family,), (n,), reps=reps, seed=46)
+        assert row == sim._summarize((family, n), ts)
+
     def test_logistic_6400_cell(self):
         (row,) = run_normal_table(("logistic",), (6400,), reps=2000, seed=44)
         assert abs(row.mean_t - 5.46) < 0.15
@@ -112,6 +128,15 @@ class TestRunPoissonTable:
         a = run_poisson_table((("poisson", 5),), (100,), reps=200, seed=52)
         b = run_poisson_table((("poisson", 5),), (100,), reps=200, seed=52)
         assert a == b
+
+    def test_workers_identical_bytes(self, tmp_path):
+        config = SimConfig(scenario="poisson_fit_table", reps=150, seed=56,
+                           params={"dists": [["poisson", 5], ["neg_binomial", 20, 0.01]],
+                                   "n_list": [100, 1600]})
+        run_scenario(config, out_dir=tmp_path / "w1", workers=1)
+        run_scenario(config, out_dir=tmp_path / "w2", workers=2)
+        for name in ("poisson_fit_table.csv", "poisson_fit_table.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
     def test_poisson_5_6400_cell(self):
         (row,) = run_poisson_table((("poisson", 5),), (6400,), reps=2000, seed=53)
@@ -227,6 +252,14 @@ class TestRunScenario:
         assert len(rows) == 4
         assert len(text) == 5  # header + 4 rows
         assert text[0].startswith("grid_0")
+
+    def test_manifest_records_layout_and_versions(self, tmp_path):
+        config = SimConfig(scenario="table1_models", reps=1000, seed=6)
+        run_scenario(config, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 2
+        assert manifest["versions"] == {"gofevid": __version__, "numpy": np.__version__,
+                                        "scipy": scipy.__version__}
 
     def test_table1_scenario_csv(self, tmp_path):
         config = SimConfig(scenario="table1_models", reps=1000, seed=6)
