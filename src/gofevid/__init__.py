@@ -9,9 +9,7 @@ from .dist import (
     ChiSqParams,
     RandomStream,
     chisq_cdf,
-    chisq_mean_var,
     chisq_quantile,
-    normal_cdf,
     normal_quantile,
     sample_chisq,
     sample_family,
@@ -22,7 +20,6 @@ from .evidence import (
     EvidenceValue,
     evidence_against,
     evidence_for_equivalence,
-    evidence_from_level_power,
     evidence_label,
     expected_evidence_against,
     expected_evidence_equiv,
@@ -32,7 +29,6 @@ from .pearson import (
     CellData,
     equivalence_test,
     multinomial_power_mc,
-    ncp_lambda,
     pearson_stat,
     power_equivalence,
     power_lack_of_fit,
@@ -50,16 +46,13 @@ from .divergence import (
     J_noncentral,
     J_uniform,
     chisq_density,
-    kld_J_multinomial,
     signed_root_J,
 )
 from .model_fit import (
     NormalFitReport,
     PoissonFitReport,
-    approx_r_poisson,
     choose_r_normal,
     combine_cells_poisson,
-    dasgupta_ratio,
     evidence_for_normality,
     evidence_for_poisson,
     poisson_mle,

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .dist import check_probs
+
 __all__ = [
     "euclid_d",
     "sup_M",
@@ -16,39 +18,47 @@ __all__ = [
     "table2",
 ]
 
-def _as_simplex(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or len(arr) < 2:
-        raise ValueError(f"{name} must be a 1-d probability vector of length >= 2")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be componentwise nonnegative")
-    if abs(arr.sum() - 1.0) > 1e-6:
-        raise ValueError(f"{name} must sum to 1, got {arr.sum()!r}")
-    return arr
+
+def check_r(r) -> None:
+    """Reject a cell count r that is not an integer >= 2."""
+    if not (isinstance(r, (int, np.integer)) and r >= 2):
+        raise ValueError("r must be an integer >= 2")
+
+
+def check_k(k) -> None:
+    """Reject a relative cell error k outside (0, 1]."""
+    if not (0.0 < k <= 1.0):
+        raise ValueError("k must lie in (0, 1]")
+
+
+def _simplex_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Two probability vectors of one length >= 2, as float arrays."""
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    for arr, name in ((pa, "p"), (qa, "q")):
+        if arr.ndim != 1 or len(arr) < 2:
+            raise ValueError(f"{name} must be a 1-d probability vector of length >= 2")
+        check_probs(arr, name)
+    if pa.shape != qa.shape:
+        raise ValueError("p and q must have the same length")
+    return pa, qa
 
 
 def euclid_d(p, q) -> float:
     """Euclidean distance between two probability vectors."""
-    pa, qa = _as_simplex(p, "p"), _as_simplex(q, "q")
-    if pa.shape != qa.shape:
-        raise ValueError("p and q must have the same length")
+    pa, qa = _simplex_pair(p, q)
     return float(np.sqrt(((pa - qa) ** 2).sum()))
 
 
 def sup_M(p, q) -> float:
     """Sup-metric distance max_i |p_i - q_i|."""
-    pa, qa = _as_simplex(p, "p"), _as_simplex(q, "q")
-    if pa.shape != qa.shape:
-        raise ValueError("p and q must have the same length")
+    pa, qa = _simplex_pair(p, q)
     return float(np.abs(pa - qa).max())
 
 
 def lambda0_uniform(n: int, r: int, k: float) -> float:
     """Boundary noncentrality n k^2 / (r - 1) for equivalence to uniformity."""
-    if not (isinstance(r, (int, np.integer)) and r >= 2):
-        raise ValueError("r must be an integer >= 2")
-    if not (0.0 < k <= 1.0):
-        raise ValueError("k must lie in (0, 1]")
+    check_r(r)
+    check_k(k)
     if n <= 0:
         raise ValueError("n must be positive")
     return n * k * k / (r - 1)
@@ -56,8 +66,7 @@ def lambda0_uniform(n: int, r: int, k: float) -> float:
 
 def inradius(r: int) -> float:
     """Radius 1/sqrt(r(r-1)) of the ball inscribed in the (r-1)-simplex."""
-    if not (isinstance(r, (int, np.integer)) and r >= 2):
-        raise ValueError("r must be an integer >= 2")
+    check_r(r)
     return 1.0 / math.sqrt(r * (r - 1))
 
 
@@ -69,8 +78,7 @@ def least_divergent_point(r: int, d0: float) -> np.ndarray:
     with the large coordinate first (any permutation is equally optimal).
     Requires d0 < sqrt(1-1/r) so that all entries stay positive.
     """
-    if not (isinstance(r, (int, np.integer)) and r >= 2):
-        raise ValueError("r must be an integer >= 2")
+    check_r(r)
     if not (0.0 < d0 < math.sqrt(1.0 - 1.0 / r)):
         raise ValueError(f"d0 must lie in (0, sqrt(1 - 1/r)) = (0, {math.sqrt(1 - 1 / r)})")
     step = d0 * math.sqrt(1.0 - 1.0 / r)
@@ -85,10 +93,9 @@ def sample_size(m0: float, nu: float, r: int, d0: float) -> int:
     ceil of max{((m0 + sqrt(nu/2))^2 - nu/2) / (r d0^2), 5r}; the 5r floor
     keeps every expected cell count at or above 5.
     """
-    if not (m0 > 0 and nu > 0 and d0 > 0):
-        raise ValueError("m0, nu, d0 must all be positive")
-    if not (isinstance(r, (int, np.integer)) and r >= 2):
-        raise ValueError("r must be an integer >= 2")
+    if not (0.0 < m0 < math.inf and 0.0 < nu < math.inf and 0.0 < d0 < math.inf):
+        raise ValueError("m0, nu, d0 must all be positive and finite")
+    check_r(r)
     lam0 = (m0 + math.sqrt(0.5 * nu)) ** 2 - 0.5 * nu
     return int(math.ceil(max(lam0 / (r * d0 * d0), 5.0 * r)))
 
@@ -100,8 +107,7 @@ def table2(m0_list, r_list, k: float = 1.0) -> np.ndarray:
     rescaling a k=1 table by 1/k^2 is only approximate because the ceiling
     and the 5r floor do not commute with scaling.
     """
-    if not (0.0 < k <= 1.0):
-        raise ValueError("k must lie in (0, 1]")
+    check_k(k)
     out = np.empty((len(m0_list), len(r_list)), dtype=np.int64)
     for i, m0 in enumerate(m0_list):
         for j, r in enumerate(r_list):

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .boundary import lambda0_uniform, sample_size
+from .boundary import check_k, check_r, lambda0_uniform, sample_size
+from .dist import check_probs
 from .evidence import (
     EquivalenceParams,
     evidence_against,
@@ -45,8 +46,11 @@ def _read_lines(path: str) -> list[str]:
     return text.splitlines()
 
 
-def _parse_counts(path: str) -> tuple[list[int] | None, list[int]]:
-    """Parse a counts file: either 'index,count' pairs or one count per line."""
+def _parse_counts(path: str) -> tuple[list[int], list[int]]:
+    """Parse a counts file: either 'index,count' pairs or one count per line.
+
+    Returns (indices, counts); one-count lines are indexed 0, 1, 2, ...
+    """
     indices: list[int] = []
     counts: list[int] = []
     indexed = None
@@ -80,7 +84,7 @@ def _parse_counts(path: str) -> tuple[list[int] | None, list[int]]:
         raise ParseError(f"{path}: no counts found")
     if sum(counts) > MAX_COUNT:
         raise ParseError(f"{path}: the counts total {sum(counts)}, above the limit 2**53")
-    return (indices if indexed else None), counts
+    return indices, counts
 
 
 def _parse_reals(path: str) -> np.ndarray:
@@ -98,39 +102,35 @@ def _parse_reals(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _load_cell_counts(args) -> np.ndarray:
+def _load_counts(args) -> tuple[list[int], np.ndarray]:
+    """(indices, counts) from --fixture or the counts file, in index order.
+
+    Lines that repeat an index are summed into one cell; a file of plain
+    counts, or a fixture, is indexed 0, 1, 2, ...
+    """
     if args.fixture and args.counts_file:
         raise UsageError("give either a counts file or --fixture, not both")
     if args.fixture:
-        return np.asarray(fixtures.FIXTURES[args.fixture])
-    if not args.counts_file:
-        raise UsageError("provide a counts file or --fixture die|alpha")
-    indices, counts = _parse_counts(args.counts_file)
-    if indices is not None:
-        order = np.argsort(indices, kind="stable")
-        return np.asarray(counts)[order]
-    return np.asarray(counts)
-
-
-def _load_frequency_table(args) -> np.ndarray:
-    """Dense frequency table on values 0..max for count-data pipelines."""
-    if args.fixture and args.counts_file:
-        raise UsageError("give either a counts file or --fixture, not both")
-    if args.fixture:
-        return np.asarray(fixtures.FIXTURES[args.fixture])
-    if not args.counts_file:
-        raise UsageError("provide a counts file or --fixture alpha")
-    indices, counts = _parse_counts(args.counts_file)
-    if indices is None:
-        return np.asarray(counts)
-    if min(indices) < 0:
-        raise ParseError("count-data indices must be nonnegative")
-    if max(indices) > MAX_COUNT_VALUE:
-        raise ParseError(f"count-data index {max(indices)} exceeds the limit {MAX_COUNT_VALUE}")
-    table = np.zeros(max(indices) + 1, dtype=np.int64)
+        counts = fixtures.FIXTURES[args.fixture]
+        indices = range(len(counts))
+    elif args.counts_file:
+        indices, counts = _parse_counts(args.counts_file)
+    else:
+        raise UsageError("provide a counts file or --fixture")
+    cells: dict[int, int] = {}
     for idx, cnt in zip(indices, counts):
-        table[idx] += cnt
-    return table
+        cells[idx] = cells.get(idx, 0) + cnt
+    order = sorted(cells)
+    return order, np.asarray([cells[idx] for idx in order])
+
+
+def _observed_cells(args) -> tuple[CellData, float]:
+    """The cells of evidence-lof and evidence-equiv, and their Pearson statistic."""
+    _, counts = _load_counts(args)
+    if len(counts) < 2:
+        raise ValueError("need at least 2 cells (df would be 0)")
+    cells = CellData(counts=counts, null_probs=_null_probs(args, len(counts)))
+    return cells, pearson_stat(cells)
 
 
 def _null_probs(args, r: int) -> np.ndarray:
@@ -139,7 +139,7 @@ def _null_probs(args, r: int) -> np.ndarray:
     probs = _parse_reals(args.probs)
     if len(probs) != r:
         raise ParseError(f"--probs has {len(probs)} entries but the data has {r} cells")
-    return probs
+    return check_probs(probs, "--probs", positive=True)
 
 
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
@@ -159,18 +159,14 @@ def _evidence_line(kind: str, t: float) -> str:
 
 
 def cmd_evidence_lof(args) -> int:
-    counts = _load_cell_counts(args)
-    if len(counts) < 2:
-        raise ValueError("need at least 2 cells (df would be 0)")
-    probs = _null_probs(args, len(counts))
-    cells = CellData(counts=counts, null_probs=probs)
-    s = pearson_stat(cells)
-    nu = float(len(counts) - 1)
+    cells, s = _observed_cells(args)
+    r = len(cells.counts)
+    nu = float(r - 1)
     adjust = not args.no_bias_adjust
     ev = evidence_against(s, nu, bias_adjust=adjust)
     report = {
         "command": "evidence-lof",
-        "r": len(counts),
+        "r": r,
         "n": cells.n,
         "s_stat": s,
         "nu": nu,
@@ -181,7 +177,7 @@ def cmd_evidence_lof(args) -> int:
     }
     _emit(report, args.output_format, [
         "Evidence against the hypothesized cell probabilities",
-        f"  cells (r):    {len(counts)}",
+        f"  cells (r):    {r}",
         f"  n:            {cells.n}",
         f"  S:            {s:.4f}",
         f"  df (nu):      {nu:g}",
@@ -192,15 +188,8 @@ def cmd_evidence_lof(args) -> int:
 
 
 def cmd_evidence_equiv(args) -> int:
-    counts = _load_cell_counts(args)
-    if len(counts) < 2:
-        raise ValueError("need at least 2 cells (df would be 0)")
-    if not (0.0 < args.k <= 1.0):
-        raise ValueError("--k must lie in (0, 1]")
-    probs = _null_probs(args, len(counts))
-    cells = CellData(counts=counts, null_probs=probs)
-    s = pearson_stat(cells)
-    r = len(counts)
+    cells, s = _observed_cells(args)
+    r = len(cells.counts)
     nu = float(r - 1)
     lambda0 = lambda0_uniform(cells.n, r, args.k)
     params = EquivalenceParams(nu=nu, lambda0=lambda0)
@@ -237,9 +226,9 @@ def cmd_evidence_equiv(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
-    if not (0.0 < args.k <= 1.0):
-        raise ValueError("--k must lie in (0, 1]")
+    check_k(args.k)
     r = args.r
+    check_r(r)  # before d0 divides by sqrt(r (r - 1))
     nu = float(r - 1)
     d0 = args.k / math.sqrt(r * (r - 1))
     n0 = sample_size(args.m0, nu, r, d0)
@@ -280,7 +269,13 @@ def cmd_fit_normal(args) -> int:
 
 
 def cmd_fit_poisson(args) -> int:
-    table = _load_frequency_table(args)
+    values, counts = _load_counts(args)
+    if values[0] < 0:
+        raise ParseError("count-data indices must be nonnegative")
+    if values[-1] > MAX_COUNT_VALUE:
+        raise ParseError(f"count-data index {values[-1]} exceeds the limit {MAX_COUNT_VALUE}")
+    table = np.zeros(values[-1] + 1, dtype=np.int64)  # dense frequency table on 0..max
+    table[values] = counts
     report = evidence_for_poisson(table, k=args.k, bias_adjust=not args.no_bias_adjust)
     d = report.to_dict()
     _emit({"command": "fit-poisson", **d}, args.output_format, [

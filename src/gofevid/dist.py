@@ -1,4 +1,5 @@
-"""Distribution primitives: normal and (non)central chi-squared, seedable streams.
+"""Distribution primitives: normal and (non)central chi-squared, seedable
+streams, the probability-vector check and the thread pool for work units.
 
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 ``chndtrix``.  Random streams are counter-based (Philox keyed by
@@ -8,6 +9,7 @@ The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +18,7 @@ from scipy import special
 __all__ = [
     "RandomStream",
     "ChiSqParams",
-    "normal_cdf",
     "normal_quantile",
-    "chisq_mean_var",
     "chisq_cdf",
     "chisq_quantile",
     "sample_chisq",
@@ -74,6 +74,39 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def map_units(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] on at most `workers` threads, never more
+    threads than items; one worker or one item runs inline."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+_MIN_PROB = 1e-12  # smallest null cell probability a Pearson statistic accepts
+
+
+def check_probs(p, name: str, positive: bool = False) -> np.ndarray:
+    """p as a float array whose last axis holds probability vectors.
+
+    Every entry must exceed 1e-12 with ``positive`` and be nonnegative
+    otherwise; NaN fails both.  Every vector must sum to 1 within 1e-9.
+    Shape rules are the caller's.
+    """
+    arr = np.asarray(p, dtype=float)
+    ok = arr > _MIN_PROB if positive else arr >= 0.0
+    if not ok.all():
+        bad = float(arr[~ok].flat[0])
+        rule = "exceed 1e-12" if positive else "be nonnegative"
+        raise ValueError(f"every {name} entry must {rule}, got {bad!r}")
+    sums = np.atleast_1d(arr.sum(axis=-1))
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if len(off):
+        raise ValueError(f"{name} must sum to 1, got {float(sums[off[0]])!r}")
+    return arr
+
+
 @dataclass(frozen=True)
 class ChiSqParams:
     """Degrees of freedom nu > 0 and noncentrality lam >= 0."""
@@ -88,15 +121,6 @@ class ChiSqParams:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
 
 
-def normal_cdf(x):
-    """Standard normal CDF; accepts scalars or arrays."""
-    if np.isscalar(x):
-        if not math.isfinite(x):
-            raise ValueError("x must be finite")
-        return float(special.ndtr(x))
-    return special.ndtr(np.asarray(x, dtype=float))
-
-
 def normal_quantile(p):
     """Inverse standard normal CDF on (0, 1)."""
     arr = np.asarray(p, dtype=float)
@@ -104,11 +128,6 @@ def normal_quantile(p):
         raise ValueError("p must lie strictly in (0, 1)")
     out = special.ndtri(arr)
     return float(out) if np.isscalar(p) else out
-
-
-def chisq_mean_var(params: ChiSqParams) -> tuple[float, float]:
-    """Mean nu + lam and variance 2 nu + 4 lam."""
-    return params.nu + params.lam, 2.0 * params.nu + 4.0 * params.lam
 
 
 def chisq_cdf(x, params: ChiSqParams):

@@ -1,5 +1,5 @@
-"""Symmetrized Kullback-Leibler divergences: closed form for multinomials,
-numerical quadrature for pairs of noncentral chi-squared laws."""
+"""Symmetrized Kullback-Leibler divergences: closed form for a multinomial
+against uniform, numerical quadrature for pairs of noncentral chi-squared laws."""
 
 from __future__ import annotations
 
@@ -8,11 +8,10 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from .dist import ChiSqParams
+from .dist import ChiSqParams, check_probs
 from .evidence import EquivalenceParams
 
 __all__ = [
-    "kld_J_multinomial",
     "J_uniform",
     "chisq_density",
     "J_noncentral",
@@ -22,30 +21,12 @@ __all__ = [
 _LOG_FLOOR = -690.0  # exp() underflows to 0 a bit below this
 
 
-def _positive_simplex(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or len(arr) < 2:
-        raise ValueError(f"{name} must be a 1-d probability vector of length >= 2")
-    if np.any(arr <= 0):
-        raise ValueError(f"{name} must be componentwise positive (divergence is infinite otherwise)")
-    if abs(arr.sum() - 1.0) > 1e-6:
-        raise ValueError(f"{name} must sum to 1, got {arr.sum()!r}")
-    return arr
-
-
-def kld_J_multinomial(p, q, n: int = 1) -> float:
-    """Symmetrized divergence n * sum((p_i - q_i) ln(p_i / q_i)) of two multinomials."""
-    pa, qa = _positive_simplex(p, "p"), _positive_simplex(q, "q")
-    if pa.shape != qa.shape:
-        raise ValueError("p and q must have the same length")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return float(n * ((pa - qa) * np.log(pa / qa)).sum())
-
-
 def J_uniform(p, n: int = 1) -> float:
     """Symmetrized divergence of p from uniform: n * sum((p_i - 1/r) ln p_i)."""
-    pa = _positive_simplex(p, "p")
+    pa = np.asarray(p, dtype=float)
+    if pa.ndim != 1 or len(pa) < 2:
+        raise ValueError("p must be a 1-d probability vector of length >= 2")
+    check_probs(pa, "p", positive=True)  # the divergence is infinite at a zero entry
     if n <= 0:
         raise ValueError("n must be positive")
     r = len(pa)

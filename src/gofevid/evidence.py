@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import normal_quantile
-
 __all__ = [
     "Direction",
     "EvidenceValue",
@@ -31,7 +29,6 @@ __all__ = [
     "evidence_for_equivalence",
     "expected_evidence_equiv",
     "max_expected_evidence",
-    "evidence_from_level_power",
     "evidence_label",
 ]
 
@@ -151,13 +148,6 @@ def expected_evidence_equiv(params: EquivalenceParams, lam: float) -> float:
 def max_expected_evidence(params: EquivalenceParams) -> float:
     """Expected equivalence evidence when the model holds exactly (lam = 0)."""
     return expected_evidence_equiv(params, 0.0)
-
-
-def evidence_from_level_power(alpha: float, power: float) -> float:
-    """Expected evidence of a level-alpha test with the given power."""
-    if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0):
-        raise ValueError("alpha and power must lie strictly in (0, 1)")
-    return normal_quantile(1.0 - alpha) + normal_quantile(power)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,6 @@ ten-second interval (1207 intervals, values 0-19).
 
 from __future__ import annotations
 
-from importlib import resources
-
 DIE_COUNTS = (17, 16, 25, 9, 16, 17)
 
 ALPHA_EMISSIONS_COUNTS = (
@@ -20,11 +18,3 @@ FIXTURES = {
     "die": DIE_COUNTS,
     "alpha": ALPHA_EMISSIONS_COUNTS,
 }
-
-
-def fixture_path(name: str):
-    """Path of the bundled CSV for a named fixture."""
-    files = {"die": "die.csv", "alpha": "alpha_emissions.csv"}
-    if name not in files:
-        raise ValueError(f"unknown fixture {name!r}; choose from {sorted(files)}")
-    return resources.files("gofevid.data") / files[name]

@@ -36,8 +36,6 @@ __all__ = [
     "combine_cells_poisson",
     "evidence_for_poisson",
     "poisson_evidence_rows",
-    "approx_r_poisson",
-    "dasgupta_ratio",
 ]
 
 DEFAULT_K = 0.5
@@ -125,7 +123,7 @@ def choose_r_normal(n: int) -> int:
     return max(10, int(math.ceil(math.log(n))))
 
 
-def _normal_cells(x: np.ndarray, k: float):
+def _normal_cells(x: np.ndarray):
     """Row-wise MLE fit and equiprobable binning of a (rows, n) array.
 
     Returns (edges, counts): per row, the r - 1 edges xbar + s Phi^{-1}(j/r)
@@ -137,8 +135,6 @@ def _normal_cells(x: np.ndarray, k: float):
         raise ValueError("need n >= 100 observations")
     if not np.all(np.isfinite(x)):
         raise ValueError("data must be finite")
-    if not (0.0 < k <= 1.0):
-        raise ValueError("k must lie in (0, 1]")
     xbar = x.mean(axis=1, keepdims=True)
     s = x.std(axis=1, keepdims=True)  # maximum likelihood scale (divisor n)
     if np.any(s == 0.0):
@@ -167,7 +163,7 @@ def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True)
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValueError("data must be a 1-d sequence")
-    edges, counts = _normal_cells(x[None, :], k)
+    edges, counts = _normal_cells(x[None, :])
     n, r = len(x), counts.shape[1]
     cells = CellData(counts=counts[0], null_probs=np.full(r, 1.0 / r))
     s_stat = pearson_stat(cells)
@@ -188,7 +184,7 @@ def normality_evidence_rows(data, k: float = DEFAULT_K, bias_adjust: bool = True
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a (rows, n) array")
-    _, counts = _normal_cells(x, k)
+    _, counts = _normal_cells(x)
     n, r = x.shape[1], counts.shape[1]
     s_stat = pearson_stats(counts, np.full(r, 1.0 / r))
     return equiv_transform(s_stat, _normal_params(n, r, k), bias_adjust)
@@ -324,8 +320,6 @@ def evidence_for_poisson(counts, k: float = DEFAULT_K, bias_adjust: bool = True)
     nu_j = np.asarray(counts)
     if nu_j.ndim != 1:
         raise ValueError("counts must be a 1-d frequency table indexed from 0")
-    if not (0.0 < k <= 1.0):
-        raise ValueError("k must lie in (0, 1]")
     mu_hat = poisson_mle(nu_j)
     n, _, [(_, r0, r, comb_probs, comb_counts)] = _poisson_groups(nu_j.astype(np.int64)[None, :])
     cells = CellData(counts=comb_counts[0], null_probs=comb_probs[0])
@@ -352,8 +346,6 @@ def poisson_evidence_rows(tables, k: float = DEFAULT_K, bias_adjust: bool = True
         raise ValueError("tables must be a nonempty (rows, K) integer array")
     if np.any(tables < 0):
         raise ValueError("counts must be nonnegative integers")
-    if not (0.0 < k <= 1.0):
-        raise ValueError("k must lie in (0, 1]")
     n, mu, groups = _poisson_groups(tables)
     r_out = np.empty(len(tables))
     m0 = np.empty(len(tables))
@@ -364,19 +356,3 @@ def poisson_evidence_rows(tables, k: float = DEFAULT_K, bias_adjust: bool = True
         m0[rows] = max_expected_evidence(params)
         t[rows] = equiv_transform(pearson_stats(counts, probs), params, bias_adjust)
     return mu, r_out, m0, t
-
-
-def approx_r_poisson(n: float, mu: float) -> float:
-    """Large-n approximation sqrt(8 mu ln(n/5)) to the combined cell count."""
-    if not n > 5:
-        raise ValueError("n must exceed 5")
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    return math.sqrt(8.0 * mu * math.log(n / 5.0))
-
-
-def dasgupta_ratio(n: int) -> float:
-    """Phi^{-1}(1 - 1/n) / sqrt(2 ln n); tends to 1 from below as n grows."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ValueError("n must be an integer >= 2")
-    return normal_quantile(1.0 - 1.0 / n) / math.sqrt(2.0 * math.log(n))

@@ -1,21 +1,19 @@
-"""Pearson chi-squared statistic, noncentrality, power, and the equivalence test."""
+"""Pearson chi-squared statistic, power, and the equivalence test."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ChiSqParams, RandomStream, chisq_cdf, chisq_quantile
+from .dist import ChiSqParams, RandomStream, check_probs, chisq_cdf, chisq_quantile, map_units
 from .evidence import EquivalenceParams
 
 __all__ = [
     "CellData",
     "pearson_stat",
     "pearson_stats",
-    "ncp_lambda",
     "power_lack_of_fit",
     "power_equivalence",
     "EquivalenceDecision",
@@ -24,7 +22,6 @@ __all__ = [
     "multinomial_power_mc",
 ]
 
-_MIN_PROB = 1e-12
 _POWER_BLOCK = 100  # replications per work unit of multinomial_power_mc
 CHUNK_VALUES = 1 << 14  # values held at once when replications are stacked into rows
 
@@ -40,12 +37,7 @@ def _check_cells(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """CellData's checks on the last axis of counts and probs; returns the totals."""
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative integers")
-    if np.any(probs <= _MIN_PROB):
-        raise ValueError("every null probability must exceed 1e-12")
-    sums = np.atleast_1d(probs.sum(axis=-1))
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-    if len(bad):
-        raise ValueError(f"null_probs must sum to 1, got {float(sums[bad[0]])!r}")
+    check_probs(probs, "null_probs", positive=True)
     n = counts.sum(axis=-1)
     if np.any(n <= 0):
         raise ValueError("total count must be positive")
@@ -77,7 +69,7 @@ class CellData:
             raise ValueError("counts and null_probs must be 1-d sequences of equal length")
         if len(counts) == 0:
             raise ValueError("need at least one cell")
-        if np.any(counts < 0) or not np.allclose(counts, np.round(counts)):
+        if not np.allclose(counts, np.round(counts)):  # _check_cells checks the sign
             raise ValueError("counts must be nonnegative integers")
         self.counts = counts.astype(np.int64)
         self.null_probs = probs
@@ -103,19 +95,6 @@ def pearson_stats(counts, null_probs) -> np.ndarray:
         raise ValueError("counts must be nonnegative integers")
     _check_cells(counts, probs)
     return _pearson(counts, probs)
-
-
-def ncp_lambda(n: int, null_probs, alt_probs) -> float:
-    """Noncentrality n * sum((p_i - q_i)^2 / p_i) of an alternative q vs null p."""
-    p = np.asarray(null_probs, dtype=float)
-    q = np.asarray(alt_probs, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("probability vectors must have the same length")
-    if np.any(p <= _MIN_PROB):
-        raise ValueError("null probabilities must be strictly positive")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return float(n * ((p - q) ** 2 / p).sum())
 
 
 def power_lack_of_fit(alpha: float, nu: float, lam: float) -> float:
@@ -195,25 +174,15 @@ def multinomial_power_mc(
     null_probs = np.asarray(null_probs, dtype=float)
     if true_probs.shape != null_probs.shape:
         raise ValueError("probability vectors must have the same length")
-    if not (np.all(null_probs > _MIN_PROB) and abs(null_probs.sum() - 1.0) <= 1e-9):
-        raise ValueError("null_probs must be strictly positive and sum to 1")
-    if not (np.all(true_probs >= 0) and abs(true_probs.sum() - 1.0) <= 1e-9):
-        raise ValueError("true_probs must be nonnegative and sum to 1")
+    check_probs(null_probs, "null_probs", positive=True)
+    check_probs(true_probs, "true_probs")
     r = len(null_probs)
     c = chisq_quantile(1.0 - alpha, ChiSqParams(r - 1, 0.0))
 
     workers = min(workers, -(-reps // _POWER_BLOCK))  # at most one thread per block
-    if workers <= 1:
-        hits = _power_chunk(stream, 0, reps, n, true_probs, null_probs, c)
-    else:
-        bounds = np.linspace(0, reps, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_power_chunk, stream, int(lo), int(hi), n,
-                            true_probs, null_probs, c)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            hits = sum(f.result() for f in futs)
+    bounds = np.linspace(0, reps, max(workers, 1) + 1).astype(int).tolist()
+    hits = sum(map_units(lambda block: _power_chunk(stream, *block, n, true_probs, null_probs, c),
+                         list(zip(bounds[:-1], bounds[1:])), workers))
     p = hits / reps
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / reps)
     return PowerEstimate(power=p, se=se, reps=reps, critical_value=c)

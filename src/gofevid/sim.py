@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,8 +27,8 @@ import scipy
 
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import ChiSqParams, RandomStream, count_pmf, count_support, sample_chisq, \
-    sample_family
+from .dist import ChiSqParams, RandomStream, count_pmf, count_support, map_units, \
+    sample_chisq, sample_family
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
@@ -57,7 +56,12 @@ SCENARIOS = (
     "table1_models",
 )
 
-TABLE3_FAMILIES = ("normal", "logistic", "t5")
+TABLE3 = {  # Table 3 family -> (sample_family name, its parameters)
+    "normal": ("normal", {}),
+    "logistic": ("logistic", {}),
+    "t5": ("student_t", {"df": 5.0}),
+}
+TABLE3_FAMILIES = tuple(TABLE3)
 TABLE4_DISTS = tuple(
     [("poisson", mu) for mu in (1, 5, 10, 20)]
     + [("neg_binomial", mu, 0.01) for mu in (1, 5, 10, 20)]
@@ -177,54 +181,35 @@ def _validate_params(scenario: str, params: dict) -> None:
         raise ValueError("alpha must lie strictly in (0, 1)")
 
 
-def _map_units(fn, items, workers: int):
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _summarize(grid_point: tuple, values: np.ndarray) -> SimSummary:
     sd = float(values.std(ddof=1))
     return SimSummary(grid_point=grid_point, mean_t=float(values.mean()), sd_t=sd,
                       mc_se=float(sd / np.sqrt(len(values))), reps=len(values))
 
 
-def run_vst_lof(nu: float, lambda_grid, reps: int, seed: int, workers: int = 1):
-    """Simulated mean/sd of the bias-adjusted lack-of-fit evidence per lambda."""
-    grid = [float(l) for l in lambda_grid]
-
+def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, seed: int,
+             workers: int):
+    """Summaries of transform(S), S ~ chi2(nu, lambda), one unit per lambda."""
     def unit(item):
         idx, lam = item
         s = sample_chisq(RandomStream(seed, idx), ChiSqParams(nu, lam), size=reps)
-        return _summarize((nu, lam), lof_transform(s, nu, bias_adjust=True))
+        return _summarize((*grid_head, lam), transform(s))
 
-    return _map_units(unit, list(enumerate(grid)), workers)
+    return map_units(unit, list(enumerate(float(l) for l in lambda_grid)), workers)
+
+
+def run_vst_lof(nu: float, lambda_grid, reps: int, seed: int, workers: int = 1):
+    """Simulated mean/sd of the bias-adjusted lack-of-fit evidence per lambda."""
+    return _run_vst((nu,), lambda s: lof_transform(s, nu, bias_adjust=True),
+                    nu, lambda_grid, reps, seed, workers)
 
 
 def run_vst_equiv(nu: float, lambda0: float, lambda_grid, reps: int, seed: int,
                   workers: int = 1):
     """Simulated mean/sd of the bias-adjusted equivalence evidence per lambda."""
     params = EquivalenceParams(nu=nu, lambda0=lambda0)
-    grid = [float(l) for l in lambda_grid]
-
-    def unit(item):
-        idx, lam = item
-        s = sample_chisq(RandomStream(seed, idx), ChiSqParams(nu, lam), size=reps)
-        return _summarize((nu, lambda0, lam), equiv_transform(s, params, bias_adjust=True))
-
-    return _map_units(unit, list(enumerate(grid)), workers)
-
-
-def _draw_table3(stream: RandomStream, family: str, n: int) -> np.ndarray:
-    if family == "normal":
-        return sample_family(stream, "normal", size=n)
-    if family == "logistic":
-        return sample_family(stream, "logistic", size=n)
-    if family == "t5":
-        return sample_family(stream, "student_t", size=n, df=5.0)
-    raise ValueError(f"unknown family {family!r}")
+    return _run_vst((nu, lambda0), lambda s: equiv_transform(s, params, bias_adjust=True),
+                    nu, lambda_grid, reps, seed, workers)
 
 
 def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 4000,
@@ -234,15 +219,16 @@ def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 
 
     def unit(item):
         idx, (family, n) = item
+        name, params = TABLE3[family]
         cell_stream = RandomStream(seed, idx)
         ts = np.empty(reps)
         for lo, hi in row_blocks(0, reps, n):
-            data = np.stack([_draw_table3(cell_stream.substream(i), family, n)
+            data = np.stack([sample_family(cell_stream.substream(i), name, size=n, **params)
                              for i in range(lo, hi)])
             ts[lo:hi] = normality_evidence_rows(data)
         return _summarize((family, n), ts)
 
-    return _map_units(unit, list(enumerate(cells)), workers)
+    return map_units(unit, list(enumerate(cells)), workers)
 
 
 def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
@@ -278,7 +264,7 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
             mean_m0=float(m0s.mean()), sd_m0=float(m0s.std(ddof=1)),
         )
 
-    return _map_units(unit, list(enumerate(cells)), workers)
+    return map_units(unit, list(enumerate(cells)), workers)
 
 
 def run_table1(n: int = 100, alpha: float = 0.05, reps: int = 20000, seed: int = 0,

@@ -52,6 +52,19 @@ class TestMetrics:
             assert sup_M(p[perm], q[perm]) == pytest.approx(sup_M(p, q), rel=1e-12)
             assert euclid_d(p[perm], q[perm]) == pytest.approx(euclid_d(p, q), rel=1e-12)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="every p entry must be nonnegative, got nan"):
+            euclid_d([0.5, math.nan], [0.5, 0.5])
+        with pytest.raises(ValueError, match="every q entry must be nonnegative, got nan"):
+            sup_M([0.5, 0.5], [math.nan, 0.5])
+
+    def test_sum_tolerance_1e_9(self):
+        off = [0.5, 0.5 + 1e-7]  # within the former 1e-6 tolerance
+        with pytest.raises(ValueError, match="p must sum to 1"):
+            euclid_d(off, [0.5, 0.5])
+        with pytest.raises(ValueError, match="q must sum to 1"):
+            sup_M([0.5, 0.5], off)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             euclid_d(U6, np.full(5, 0.2))

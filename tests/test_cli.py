@@ -68,6 +68,32 @@ class TestEvidenceLof:
         assert json.loads(out)["s_stat"] == pytest.approx(0.0)
 
 
+    def test_nan_probs_named(self, capsys, tmp_path):
+        counts = tmp_path / "c.txt"
+        counts.write_text("3\n4\n")
+        probs = tmp_path / "p.txt"
+        probs.write_text("0.5\nnan\n")
+        code, _, err = run_cli(capsys, "evidence-lof", str(counts), "--probs", str(probs))
+        assert code == 1
+        assert "every --probs entry must exceed 1e-12, got nan" in err
+
+
+class TestRepeatedIndices:
+    @pytest.mark.parametrize("command", ["evidence-lof", "evidence-equiv"])
+    def test_repeated_index_lines_are_summed(self, capsys, tmp_path, command):
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("1,10\n1,12\n2,9\n")
+        summed = tmp_path / "summed.csv"
+        summed.write_text("22\n9\n")
+        code, out, _ = run_cli(capsys, command, str(repeated), "-f", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["r"] == 2 and doc["nu"] == 1.0 and doc["n"] == 31
+        code, want, _ = run_cli(capsys, command, str(summed), "-f", "json")
+        assert code == 0
+        assert out == want
+
+
 class TestEvidenceEquiv:
     def test_die_fixture_values(self, capsys):
         code, out, _ = run_cli(capsys, "evidence-equiv", "--fixture", "die",
@@ -101,6 +127,17 @@ class TestSamplesize:
                                "--k", k, "-f", "json")
         assert code == 0
         assert json.loads(out)["n0"] == want
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--m0", "3.3", "--r", "1"], "r must be an integer >= 2"),
+        (["--m0", "inf", "--r", "6"], "m0, nu, d0 must all be positive and finite"),
+        (["--m0", "3.3", "--r", "6", "--k", "nan"], "k must lie in (0, 1]"),
+    ])
+    def test_domain_errors_exit_1(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "samplesize", *argv)
+        assert code == 1
+        assert message in err
 
 
 class TestFitPoisson:

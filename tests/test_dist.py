@@ -10,11 +10,10 @@ from gofevid.dist import (
     ChiSqParams,
     RandomStream,
     chisq_cdf,
-    chisq_mean_var,
+    check_probs,
     chisq_quantile,
     count_pmf,
     count_support,
-    normal_cdf,
     normal_quantile,
     sample_chisq,
     sample_family,
@@ -22,24 +21,6 @@ from gofevid.dist import (
 
 
 class TestNormal:
-    def test_cdf_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_cdf_weak_threshold(self):
-        assert abs(normal_cdf(1.645) - 0.95) < 5e-4
-
-    @pytest.mark.parametrize("x", [0.3, 1.7, 4.1])
-    def test_cdf_reflection(self, x):
-        assert abs(normal_cdf(-x) - (1.0 - normal_cdf(x))) < 1e-14
-
-    def test_cdf_matches_erfc_oracle(self):
-        for x in np.linspace(-8, 8, 81):
-            assert abs(normal_cdf(float(x)) - oracles.normal_cdf(float(x))) < 1e-12
-
-    def test_cdf_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            normal_cdf(float("nan"))
-
     def test_quantile_median(self):
         assert normal_quantile(0.5) == 0.0
 
@@ -48,12 +29,36 @@ class TestNormal:
 
     @pytest.mark.parametrize("p", [1e-6, 0.2, 0.999])
     def test_quantile_roundtrip(self, p):
-        assert abs(normal_cdf(normal_quantile(p)) - p) < 1e-10
+        assert abs(oracles.normal_cdf(normal_quantile(p)) - p) < 1e-10
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):
             normal_quantile(p)
+
+
+class TestCheckProbs:
+    def test_returns_float_array(self):
+        got = check_probs([[1, 0], [0.25, 0.75]], "p")
+        assert got.dtype == float and got.tolist() == [[1.0, 0.0], [0.25, 0.75]]
+
+    @pytest.mark.parametrize("p,positive,message", [
+        ([0.5, -0.1, 0.6], False, "every q entry must be nonnegative, got -0.1"),
+        ([0.5, math.nan, 0.5], False, "every q entry must be nonnegative, got nan"),
+        ([1.0, 0.0], True, "every q entry must exceed 1e-12, got 0.0"),
+        ([1.0 - 1e-13, 1e-13], True, "exceed 1e-12"),
+        ([0.5, math.nan], True, "every q entry must exceed 1e-12, got nan"),
+        ([0.5, math.inf], True, "q must sum to 1, got inf"),
+        ([[0.5, 0.5], [0.9, 0.2]], False, "q must sum to 1, got 1.1"),
+    ])
+    def test_rejects_and_names_the_vector(self, p, positive, message):
+        with pytest.raises(ValueError, match=message):
+            check_probs(p, "q", positive)
+
+    def test_sum_tolerance_is_1e_9(self):
+        check_probs([0.5, 0.5 + 5e-10], "q")
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_probs([0.5, 0.5 + 2e-9], "q")
 
 
 class TestChiSqParams:
@@ -62,10 +67,6 @@ class TestChiSqParams:
             ChiSqParams(0.0, 1.0)
         with pytest.raises(ValueError):
             ChiSqParams(5.0, -1.0)
-
-    @pytest.mark.parametrize("nu,lam,want", [(5, 0, (5, 10)), (5, 8, (13, 42)), (1, 35, (36, 142))])
-    def test_mean_var(self, nu, lam, want):
-        assert chisq_mean_var(ChiSqParams(nu, lam)) == want
 
 
 class TestChiSqCdf:

@@ -11,7 +11,6 @@ from gofevid.divergence import (
     J_noncentral,
     J_uniform,
     chisq_density,
-    kld_J_multinomial,
     signed_root_J,
 )
 from gofevid.evidence import (
@@ -23,33 +22,6 @@ from gofevid.evidence import (
 U6 = np.full(6, 1 / 6)
 
 
-class TestMultinomialJ:
-    def test_zero_at_equal(self):
-        assert kld_J_multinomial(U6, U6, 100) == 0.0
-
-    def test_p7_value(self):
-        p7 = least_divergent_point(6, 0.15)
-        assert abs(kld_J_multinomial(p7, U6, 1) - 0.107) < 5e-4
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            p = rng.dirichlet(np.full(6, 2.0))
-            q = rng.dirichlet(np.full(6, 2.0))
-            assert kld_J_multinomial(p, q, 7) == pytest.approx(
-                kld_J_multinomial(q, p, 7), rel=1e-12)
-
-    def test_zero_component_rejected(self):
-        bad = np.array([0.0, 0.5, 0.5])
-        with pytest.raises(ValueError):
-            kld_J_multinomial(bad, np.full(3, 1 / 3), 1)
-
-    def test_scales_linearly_in_n(self):
-        p7 = least_divergent_point(6, 0.15)
-        assert kld_J_multinomial(p7, U6, 100) == pytest.approx(
-            100 * kld_J_multinomial(p7, U6, 1), rel=1e-12)
-
-
 class TestJUniform:
     def test_zero_at_uniform(self):
         assert J_uniform(U6, 5) == pytest.approx(0.0, abs=1e-15)
@@ -58,14 +30,21 @@ class TestJUniform:
         assert abs(J_uniform(least_divergent_point(6, 0.15), 1) - 0.107) < 5e-4
 
     def test_agrees_with_general_form(self):
+        # n sum((p_i - q_i) ln(p_i / q_i)), the symmetrized divergence of two
+        # multinomials, at q = uniform
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = rng.dirichlet(np.full(6, 3.0))
-            assert abs(J_uniform(p, 3) - kld_J_multinomial(p, U6, 3)) < 1e-12
+            general = 3 * ((p - U6) * np.log(p / U6)).sum()
+            assert abs(J_uniform(p, 3) - general) < 1e-12
 
     def test_zero_component_rejected(self):
         with pytest.raises(ValueError):
             J_uniform(np.array([0.0, 0.5, 0.5]), 1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="every p entry must exceed 1e-12, got nan"):
+            J_uniform([0.5, math.nan])
 
 
 class TestChiSqDensity:

@@ -11,7 +11,6 @@ from gofevid.evidence import (
     equiv_transform,
     evidence_against,
     evidence_for_equivalence,
-    evidence_from_level_power,
     evidence_label,
     expected_evidence_against,
     expected_evidence_equiv,
@@ -156,18 +155,6 @@ class TestMaxExpectedEvidence:
                 for lam0 in (1.0, 0.1, 0.01, 0.001)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 4e-4
-
-
-class TestEvidenceFromLevelPower:
-    def test_values(self):
-        assert abs(evidence_from_level_power(0.05, 0.95) - 3.29) < 0.01
-        assert abs(evidence_from_level_power(0.05, 0.5) - 1.645) < 1e-3
-        assert abs(evidence_from_level_power(0.05, 0.8) - 2.487) < 5e-3
-
-    def test_domain(self):
-        for alpha, power in [(0.0, 0.5), (1.0, 0.5), (0.05, 0.0), (0.05, 1.0)]:
-            with pytest.raises(ValueError):
-                evidence_from_level_power(alpha, power)
 
 
 class TestEvidenceLabel:

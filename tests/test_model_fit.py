@@ -8,10 +8,8 @@ from gofevid.dist import RandomStream, count_pmf, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform
 from gofevid.fixtures import ALPHA_EMISSIONS_COUNTS
 from gofevid.model_fit import (
-    approx_r_poisson,
     choose_r_normal,
     combine_cells_poisson,
-    dasgupta_ratio,
     evidence_for_normality,
     evidence_for_poisson,
     normality_evidence_rows,
@@ -283,33 +281,3 @@ class TestPoissonEvidenceRows:
         for a, b in ((mu_a, mu_b), (t_a, t_b)):
             se = math.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
             assert abs(a.mean() - b.mean()) < 4 * se
-
-
-class TestApproxRPoisson:
-    def test_reference_point(self):
-        assert abs(approx_r_poisson(6400, 10.0) - 23.9) < 0.05
-
-    def test_monotone(self):
-        grid_n = [100, 400, 1600, 6400]
-        vals = [approx_r_poisson(n, 10.0) for n in grid_n]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-        vals_mu = [approx_r_poisson(1600, mu) for mu in (1.0, 5.0, 10.0, 20.0)]
-        assert all(a < b for a, b in zip(vals_mu, vals_mu[1:]))
-
-    def test_log_unit_point(self):
-        mu = 3.7
-        assert approx_r_poisson(5 * math.e, mu) == pytest.approx(math.sqrt(8 * mu))
-
-
-class TestDasguptaRatio:
-    def test_base_case(self):
-        assert dasgupta_ratio(2) == 0.0
-
-    def test_increasing_toward_one(self):
-        vals = [dasgupta_ratio(n) for n in (10**3, 10**6, 10**9)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert all(0.7 < v < 1.0 for v in vals)
-
-    def test_monotone_wide_range(self):
-        vals = [dasgupta_ratio(10**e) for e in range(1, 9)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))

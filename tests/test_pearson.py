@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gofevid.boundary import euclid_d, least_divergent_point
+from gofevid.boundary import euclid_d, lambda0_uniform, least_divergent_point
 from gofevid.dist import ChiSqParams, RandomStream, sample_chisq
 from gofevid.evidence import EquivalenceParams
-from gofevid import pearson
+from gofevid import dist, pearson
 from gofevid.pearson import (
     CellData,
     equivalence_test,
     multinomial_power_mc,
-    ncp_lambda,
     pearson_stat,
     pearson_stats,
     power_equivalence,
@@ -57,6 +56,7 @@ class TestPearsonStats:
         ([[1, 2], [0, 0]], [0.5, 0.5], "total count must be positive"),
         ([[1.0, 2.0]], [0.5, 0.5], "integers"),
         ([1, 2], [0.5, 0.5], "rows"),
+        ([[1, 2], [3, 4]], [0.5, math.nan], "null_probs entry must exceed 1e-12, got nan"),
     ])
     def test_celldata_checks_in_array_form(self, counts, probs, message):
         with pytest.raises(ValueError, match=message):
@@ -92,20 +92,22 @@ class TestPearsonStat:
             assert s2 == pytest.approx(2 * s1, rel=1e-12)
 
 
-class TestNcpLambda:
-    def test_zero_when_equal(self):
-        assert ncp_lambda(100, U6, U6) == 0.0
+def noncentrality(n, null_probs, alt_probs):
+    """n sum((q_i - p_i)^2 / p_i): the Pearson noncentrality of alternative q."""
+    return n * ((alt_probs - null_probs) ** 2 / null_probs).sum()
 
+
+class TestNcpLambda:
     def test_p7_value(self):
         p7 = least_divergent_point(6, 0.15)
-        assert ncp_lambda(100, U6, p7) == pytest.approx(100 * 6 * 0.15**2, rel=1e-12)
+        assert noncentrality(100, U6, p7) == pytest.approx(100 * 6 * 0.15**2, rel=1e-12)
 
     def test_remark3_cross_check(self):
+        # the least-divergent point at d0 = k / sqrt(r (r - 1)) sits on the
+        # equivalence boundary n k^2 / (r - 1)
         d0 = 0.5 / math.sqrt(30.0)
-        p = least_divergent_point(6, d0)
-        lam = ncp_lambda(428, U6, p)
-        assert lam == pytest.approx(428 * 6 * d0**2, rel=1e-12)
-        assert lam == pytest.approx(428 * 0.25 / 5, rel=1e-12)  # n k^2/(r-1)
+        lam = noncentrality(428, U6, least_divergent_point(6, d0))
+        assert lam == pytest.approx(lambda0_uniform(428, 6, 0.5), rel=1e-12)
         assert abs(lam - 21.4) < 1e-9
 
     def test_uniform_identity_with_euclid(self):
@@ -113,11 +115,7 @@ class TestNcpLambda:
         for _ in range(5):
             p = rng.dirichlet(np.full(6, 5.0))
             want = 100 * 6 * euclid_d(p, U6) ** 2
-            assert ncp_lambda(100, U6, p) == pytest.approx(want, rel=1e-10)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ncp_lambda(10, U6, np.full(5, 0.2))
+            assert noncentrality(100, U6, p) == pytest.approx(want, rel=1e-10)
 
 
 class TestPowerLackOfFit:
@@ -230,12 +228,12 @@ class TestMultinomialPowerMC:
     def test_threads_capped_at_blocks(self, monkeypatch):
         pools = []
 
-        class Recorder(pearson.ThreadPoolExecutor):
+        class Recorder(dist.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(pearson, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(dist, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(pearson, "_POWER_BLOCK", 500)
         a = multinomial_power_mc(RandomStream(3, 1), 100, U6, U6, 0.05, 1000, workers=4)
         assert pools == [2]  # 1000 reps form 2 blocks of 500
@@ -247,6 +245,6 @@ class TestMultinomialPowerMC:
         # at n=100 (0.823 vs 0.762); keep the documented envelope
         p7 = least_divergent_point(6, 0.15)
         est = multinomial_power_mc(RandomStream(10, 3), 100, p7, U6, 0.05, 20_000)
-        asym = power_lack_of_fit(0.05, 5, ncp_lambda(100, U6, p7))
+        asym = power_lack_of_fit(0.05, 5, 100 * 6 * 0.15**2)  # p7's noncentrality, 13.5
         gap = abs(asym - est.power)
         assert gap < 0.08

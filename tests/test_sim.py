@@ -7,10 +7,10 @@ import scipy
 
 import oracles
 from gofevid import __version__
-from gofevid.dist import RandomStream
+from gofevid.dist import RandomStream, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
-from gofevid import sim
+from gofevid import dist, sim
 from gofevid.sim import (
     PoissonCellSummary,
     SimConfig,
@@ -101,8 +101,9 @@ class TestRunNormalTable:
     def test_batched_t_equals_report_on_same_substreams(self, family, n, reps):
         # reps span more than one block of stacked rows at both sizes
         cell_stream = RandomStream(46, 0)  # the stream of the run's first cell
+        name, params = sim.TABLE3[family]
         ts = np.array([evidence_for_normality(
-            sim._draw_table3(cell_stream.substream(i), family, n)).evidence.t
+            sample_family(cell_stream.substream(i), name, size=n, **params)).evidence.t
             for i in range(reps)])
         (row,) = run_normal_table((family,), (n,), reps=reps, seed=46)
         assert row == sim._summarize((family, n), ts)
@@ -220,15 +221,16 @@ class TestMapUnits:
     def test_threads_capped_at_units(self, monkeypatch):
         pools = []
 
-        class Recorder(sim.ThreadPoolExecutor):
+        class Recorder(dist.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
-        assert sim._map_units(lambda x: 2 * x, [1, 2], workers=4) == [2, 4]
+        monkeypatch.setattr(dist, "ThreadPoolExecutor", Recorder)
+        assert run_vst_lof(1.0, [0, 1], reps=200, seed=3, workers=4) == \
+            run_vst_lof(1.0, [0, 1], reps=200, seed=3, workers=1)
         assert pools == [2]
-        assert sim._map_units(lambda x: 2 * x, [1], workers=4) == [2]
+        run_vst_lof(1.0, [0], reps=200, seed=3, workers=4)
         assert pools == [2]  # a single unit runs inline
 
 
