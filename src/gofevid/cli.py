@@ -295,6 +295,13 @@ def cmd_fit_poisson(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
@@ -303,7 +310,7 @@ def cmd_simulate(args) -> int:
                        params=params)
     out_dir = args.out or os.environ.get("GOFEVID_RESULTS_DIR", "results")
     out = Path(out_dir) / args.scenario
-    rows = run_scenario(config, out_dir=out, workers=args.workers)
+    rows = run_scenario(config, out_dir=out, workers=min(args.workers, _usable_cpus()))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -366,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=4000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="results directory (default: results/, or GOFEVID_RESULTS_DIR)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads for the calibration grid points, capped at the grid points "
+                        "and the usable CPUs; the tables run on one thread (their "
+                        "per-replication loop holds the GIL); output is identical for any value")
     p.add_argument("--params", help="scenario parameters as a JSON object")
     p.set_defaults(fn=cmd_simulate)
 
@@ -383,6 +393,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: the run did not fit in memory; use fewer replications or a smaller "
+              "sample size", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,5 @@
 """Distribution primitives: normal and (non)central chi-squared, seedable
-streams, the probability-vector check and the thread pool for work units.
+streams and the probability-vector check.
 
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 ``chndtrix``.  Random streams are counter-based (Philox keyed by
@@ -9,7 +9,6 @@ The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,16 +71,6 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def map_units(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items] on at most `workers` threads, never more
-    threads than items; one worker or one item runs inline."""
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 _MIN_PROB = 1e-12  # smallest null cell probability a Pearson statistic accepts

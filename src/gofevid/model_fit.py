@@ -135,8 +135,12 @@ def _normal_cells(x: np.ndarray):
         raise ValueError("need n >= 100 observations")
     if not np.all(np.isfinite(x)):
         raise ValueError("data must be finite")
-    xbar = x.mean(axis=1, keepdims=True)
-    s = x.std(axis=1, keepdims=True)  # maximum likelihood scale (divisor n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = x.mean(axis=1, keepdims=True)
+        s = x.std(axis=1, keepdims=True)  # maximum likelihood scale (divisor n)
+    if not (np.all(np.isfinite(xbar)) and np.all(np.isfinite(s))):
+        raise ValueError("data too large in magnitude: the sample mean or the MLE scale "
+                         "overflows float64")
     if np.any(s == 0.0):
         raise ValueError("degenerate data: sample standard deviation is 0")
     r = choose_r_normal(n)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ChiSqParams, RandomStream, check_probs, chisq_cdf, chisq_quantile, map_units
+from .dist import ChiSqParams, RandomStream, check_probs, chisq_cdf, chisq_quantile
 from .evidence import EquivalenceParams
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "multinomial_power_mc",
 ]
 
-_POWER_BLOCK = 100  # replications per work unit of multinomial_power_mc
 CHUNK_VALUES = 1 << 14  # values held at once when replications are stacked into rows
 
 
@@ -144,16 +143,6 @@ class PowerEstimate:
     critical_value: float
 
 
-def _power_chunk(stream: RandomStream, lo: int, hi: int, n: int,
-                 true_probs: np.ndarray, null_probs: np.ndarray, c: float) -> int:
-    hits = 0
-    for a, b in row_blocks(lo, hi, len(null_probs)):
-        counts = np.stack([stream.substream(i).gen.multinomial(n, true_probs)
-                           for i in range(a, b)])
-        hits += int(np.count_nonzero(_pearson(counts, null_probs) >= c))
-    return hits
-
-
 def multinomial_power_mc(
     stream: RandomStream,
     n: int,
@@ -161,12 +150,11 @@ def multinomial_power_mc(
     null_probs,
     alpha: float,
     reps: int,
-    workers: int = 1,
 ) -> PowerEstimate:
     """Monte Carlo power of the level-alpha chi-squared test under true_probs.
 
     Each replication draws from its own substream, so the estimate is
-    independent of worker count and of chunking.
+    independent of how the replications are blocked.
     """
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
@@ -179,10 +167,11 @@ def multinomial_power_mc(
     r = len(null_probs)
     c = chisq_quantile(1.0 - alpha, ChiSqParams(r - 1, 0.0))
 
-    workers = min(workers, -(-reps // _POWER_BLOCK))  # at most one thread per block
-    bounds = np.linspace(0, reps, max(workers, 1) + 1).astype(int).tolist()
-    hits = sum(map_units(lambda block: _power_chunk(stream, *block, n, true_probs, null_probs, c),
-                         list(zip(bounds[:-1], bounds[1:])), workers))
+    hits = 0
+    for a, b in row_blocks(0, reps, r):
+        counts = np.stack([stream.substream(i).gen.multinomial(n, true_probs)
+                           for i in range(a, b)])
+        hits += int(np.count_nonzero(_pearson(counts, null_probs) >= c))
     p = hits / reps
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / reps)
     return PowerEstimate(power=p, se=se, reps=reps, critical_value=c)

@@ -2,8 +2,10 @@
 
 Every scenario is reproducible from (config, seed): each grid point or table
 cell owns the substream derived from its position, and within table cells
-each replication owns a further substream, so output is byte-identical for
-any worker count.
+each replication owns a further substream.  Only the calibration grid points
+run on threads, one bulk draw each; the tables loop over replications in
+Python, which holds the GIL, so they run in the calling thread.  Output is
+byte-identical for any worker count.
 
 The fit tables stack their replications into rows and fit a block of rows at
 once.  A normal-table replication draws its n values.  A count-table
@@ -19,7 +21,8 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +30,8 @@ import scipy
 
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import ChiSqParams, RandomStream, count_pmf, count_support, map_units, \
-    sample_chisq, sample_family
+from .dist import ChiSqParams, RandomStream, count_pmf, count_support, sample_chisq, \
+    sample_family
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
@@ -47,14 +50,6 @@ __all__ = [
     "run_table1",
     "run_scenario",
 ]
-
-SCENARIOS = (
-    "vst_lof_calibration",
-    "vst_equiv_calibration",
-    "normal_fit_table",
-    "poisson_fit_table",
-    "table1_models",
-)
 
 TABLE3 = {  # Table 3 family -> (sample_family name, its parameters)
     "normal": ("normal", {}),
@@ -109,21 +104,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+            raise ValueError(f"unknown scenario {self.scenario!r}; "
+                             f"choose from {tuple(SCENARIOS)}")
         if self.reps < 100:
             raise ValueError("reps must be at least 100")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         _validate_params(self.scenario, self.params)
-
-
-_PARAM_KEYS = {
-    "vst_lof_calibration": {"nu", "lambda_grid"},
-    "vst_equiv_calibration": {"nu", "lambda0", "lambda_grid"},
-    "normal_fit_table": {"families", "n_list"},
-    "poisson_fit_table": {"dists", "n_list"},
-    "table1_models": {"n", "alpha"},
-}
 
 
 def _is_int(v) -> bool:
@@ -156,7 +143,7 @@ def _check_dist(dist) -> None:
 def _validate_params(scenario: str, params: dict) -> None:
     if not isinstance(params, dict):
         raise ValueError("params must be a JSON object")
-    extra = set(params) - _PARAM_KEYS[scenario]
+    extra = set(params) - set(SCENARIOS[scenario][1])
     if extra:
         raise ValueError(f"unknown parameters {sorted(extra)} for scenario {scenario!r}")
     for key in ("nu", "lambda0"):
@@ -187,6 +174,16 @@ def _summarize(grid_point: tuple, values: np.ndarray) -> SimSummary:
                       mc_se=float(sd / np.sqrt(len(values))), reps=len(values))
 
 
+def _map_units(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] on at most `workers` threads, never more
+    threads than items; one worker or one item runs inline."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, seed: int,
              workers: int):
     """Summaries of transform(S), S ~ chi2(nu, lambda), one unit per lambda."""
@@ -195,7 +192,7 @@ def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, see
         s = sample_chisq(RandomStream(seed, idx), ChiSqParams(nu, lam), size=reps)
         return _summarize((*grid_head, lam), transform(s))
 
-    return map_units(unit, list(enumerate(float(l) for l in lambda_grid)), workers)
+    return _map_units(unit, list(enumerate(float(l) for l in lambda_grid)), workers)
 
 
 def run_vst_lof(nu: float, lambda_grid, reps: int, seed: int, workers: int = 1):
@@ -213,12 +210,11 @@ def run_vst_equiv(nu: float, lambda0: float, lambda_grid, reps: int, seed: int,
 
 
 def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 4000,
-                     seed: int = 0, workers: int = 1):
+                     seed: int = 0):
     """Evidence-for-normality summaries per (family, n) cell."""
     cells = [(family, int(n)) for family in families for n in n_list]
 
-    def unit(item):
-        idx, (family, n) = item
+    def unit(idx, family, n):
         name, params = TABLE3[family]
         cell_stream = RandomStream(seed, idx)
         ts = np.empty(reps)
@@ -228,11 +224,11 @@ def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 
             ts[lo:hi] = normality_evidence_rows(data)
         return _summarize((family, n), ts)
 
-    return map_units(unit, list(enumerate(cells)), workers)
+    return [unit(idx, *cell) for idx, cell in enumerate(cells)]
 
 
 def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
-                      seed: int = 0, workers: int = 1):
+                      seed: int = 0):
     """Evidence-for-Poisson summaries (plus cell-count and m0 columns) per cell.
 
     Each replication draws its frequency table of n counts as one multinomial
@@ -241,8 +237,7 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
     """
     cells = [(tuple(dist), int(n)) for dist in dists for n in n_list]
 
-    def unit(item):
-        idx, (dist, n) = item
+    def unit(idx, dist, n):
         cell_stream = RandomStream(seed, idx)
         pmf = count_pmf(*dist)
         ts = np.empty(reps)
@@ -264,11 +259,10 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
             mean_m0=float(m0s.mean()), sd_m0=float(m0s.std(ddof=1)),
         )
 
-    return map_units(unit, list(enumerate(cells)), workers)
+    return [unit(idx, *cell) for idx, cell in enumerate(cells)]
 
 
-def run_table1(n: int = 100, alpha: float = 0.05, reps: int = 20000, seed: int = 0,
-               workers: int = 1):
+def run_table1(n: int = 100, alpha: float = 0.05, reps: int = 20000, seed: int = 0):
     """Distance/divergence metrics and simulated power for the reconstructible
     least-divergence model, with a uniform control row."""
     r = 6
@@ -276,8 +270,7 @@ def run_table1(n: int = 100, alpha: float = 0.05, reps: int = 20000, seed: int =
     p7 = least_divergent_point(r, 0.15)
     rows = []
     for idx, (name, probs) in enumerate([("p7", p7), ("uniform", uniform)]):
-        est = multinomial_power_mc(RandomStream(seed, idx), n, probs, uniform,
-                                   alpha, reps, workers=workers)
+        est = multinomial_power_mc(RandomStream(seed, idx), n, probs, uniform, alpha, reps)
         rows.append(Table1Row(
             model=name,
             d=euclid_d(probs, uniform),
@@ -288,30 +281,38 @@ def run_table1(n: int = 100, alpha: float = 0.05, reps: int = 20000, seed: int =
     return rows
 
 
+SCENARIOS = {  # name -> (runner, default params); a scenario accepts just its defaults' keys
+    "vst_lof_calibration": (run_vst_lof, {"nu": 1.0, "lambda_grid": range(36)}),
+    "vst_equiv_calibration": (run_vst_equiv,
+                              {"nu": 1.0, "lambda0": 12.0, "lambda_grid": range(26)}),
+    "normal_fit_table": (run_normal_table, {"families": TABLE3_FAMILIES, "n_list": TABLE_N_LIST}),
+    "poisson_fit_table": (run_poisson_table, {"dists": TABLE4_DISTS, "n_list": TABLE_N_LIST}),
+    "table1_models": (run_table1, {"n": 100, "alpha": 0.05}),
+}
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
 
+def _csv_cells(row) -> dict:
+    """Column -> text of one row; a grid_point tuple spreads into grid_0, grid_1, ..."""
+    cells = {}
+    for f in fields(row):
+        value = getattr(row, f.name)
+        if f.name == "grid_point":
+            cells.update((f"grid_{i}", "/".join(map(str, v)) if isinstance(v, tuple) else _fmt(v))
+                         for i, v in enumerate(value))
+        else:
+            cells[f.name] = _fmt(value)
+    return cells
+
+
 def _rows_to_csv(rows) -> str:
-    record = rows[0]
-    if isinstance(record, Table1Row):
-        header = ["model", "d", "sup_m", "j_div", "power", "power_se", "reps"]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(getattr(row, c)) for c in header))
-        return "\n".join(lines) + "\n"
-    extra = ["mean_r", "sd_r", "mean_m0", "sd_m0"] if isinstance(record, PoissonCellSummary) else []
-    width = max(len(row.grid_point) for row in rows)
-    header = [f"grid_{i}" for i in range(width)] + ["mean_t", "sd_t", "mc_se", "reps"] + extra
-    lines = [",".join(header)]
-    for row in rows:
-        cells = ["/".join(map(str, gp)) if isinstance(gp, tuple) else _fmt(gp)
-                 for gp in row.grid_point]
-        cells += [_fmt(getattr(row, c)) for c in ["mean_t", "sd_t", "mc_se", "reps"] + extra]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    table = [_csv_cells(row) for row in rows]
+    return "\n".join([",".join(table[0])] + [",".join(cells.values()) for cells in table]) + "\n"
 
 
 def _rows_to_json(rows) -> str:
@@ -325,25 +326,11 @@ def _rows_to_json(rows) -> str:
 def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
     """Run one scenario; optionally write CSV + JSON + manifest to out_dir."""
     t0 = time.perf_counter()
-    p = config.params
-    if config.scenario == "vst_lof_calibration":
-        rows = run_vst_lof(p.get("nu", 1.0), p.get("lambda_grid", list(range(36))),
-                           config.reps, config.seed, workers)
-    elif config.scenario == "vst_equiv_calibration":
-        rows = run_vst_equiv(p.get("nu", 1.0), p.get("lambda0", 12.0),
-                             p.get("lambda_grid", list(range(26))),
-                             config.reps, config.seed, workers)
-    elif config.scenario == "normal_fit_table":
-        rows = run_normal_table(p.get("families", TABLE3_FAMILIES),
-                                p.get("n_list", TABLE_N_LIST),
-                                config.reps, config.seed, workers)
-    elif config.scenario == "poisson_fit_table":
-        rows = run_poisson_table(p.get("dists", TABLE4_DISTS),
-                                 p.get("n_list", TABLE_N_LIST),
-                                 config.reps, config.seed, workers)
-    else:
-        rows = run_table1(p.get("n", 100), p.get("alpha", 0.05),
-                          config.reps, config.seed, workers)
+    runner, defaults = SCENARIOS[config.scenario]
+    kwargs = {**defaults, **config.params, "reps": config.reps, "seed": config.seed}
+    if "lambda_grid" in defaults:  # calibration grid points are the only threaded units
+        kwargs["workers"] = workers
+    rows = runner(**kwargs)
     elapsed = time.perf_counter() - t0
 
     if out_dir is not None:

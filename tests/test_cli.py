@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from gofevid import cli
 from gofevid.cli import MAX_COUNT, MAX_COUNT_VALUE, main
 
 
@@ -223,6 +226,15 @@ class TestFitNormal:
         assert code == 1
         assert ":3:" in err
 
+    def test_overflowing_scale_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "huge.txt"
+        values = np.random.default_rng(5).standard_normal(200) * 1e307
+        f.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+        code, out, err = run_cli(capsys, "fit-normal", str(f), "-f", "json")
+        assert code == 1
+        assert out == ""
+        assert "overflows float64" in err
+
 
 class TestSimulate:
     def test_unknown_scenario_is_usage_error(self, capsys):
@@ -291,6 +303,29 @@ class TestSimulate:
                                "--reps", "1000", "--out", str(tmp_path), "--workers", "0")
         assert code == 2
         assert "--workers" in err
+
+    def test_workers_capped_at_usable_cpus(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda config, out_dir, workers: seen.append(workers) or [])
+        threads = threading.active_count()
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", "vst_lof_calibration",
+                             "--out", str(tmp_path), "--workers", "1000000")
+        assert code == 0
+        assert seen == [cli._usable_cpus()]
+        assert 1 <= seen[0] <= (os.cpu_count() or 1)
+        assert threading.active_count() == threads
+
+    def test_memory_error_exits_1(self, capsys, tmp_path, monkeypatch):
+        def out_of_memory(config, out_dir, workers):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "normal_fit_table",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert "did not fit in memory" in err
+        assert "Traceback" not in err
 
     def test_bad_params_json(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",

@@ -75,6 +75,14 @@ class TestEvidenceForNormality:
         with pytest.raises(ValueError):
             evidence_for_normality(rng.standard_normal(200), k=0.0)
 
+    def test_overflowing_scale_rejected(self):
+        # finite values whose MLE scale overflows float64
+        data = np.random.default_rng(5).standard_normal(200) * 1e307
+        with pytest.raises(ValueError, match="overflows float64"):
+            evidence_for_normality(data)
+        with pytest.raises(ValueError, match="overflows float64"):
+            normality_evidence_rows(np.stack([data / 1e307, data]))
+
 
 class TestPoissonMle:
     def test_alpha_emissions(self):

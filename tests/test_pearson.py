@@ -6,7 +6,6 @@ import pytest
 from gofevid.boundary import euclid_d, lambda0_uniform, least_divergent_point
 from gofevid.dist import ChiSqParams, RandomStream, sample_chisq
 from gofevid.evidence import EquivalenceParams
-from gofevid import dist, pearson
 from gofevid.pearson import (
     CellData,
     equivalence_test,
@@ -189,12 +188,6 @@ class TestMultinomialPowerMC:
         assert est2.se < est1.se
         assert est1.se / est2.se == pytest.approx(2.0, rel=0.35)
 
-    def test_worker_count_does_not_change_result(self):
-        p7 = least_divergent_point(6, 0.15)
-        a = multinomial_power_mc(RandomStream(11, 5), 100, p7, U6, 0.05, 3_000, workers=1)
-        b = multinomial_power_mc(RandomStream(11, 5), 100, p7, U6, 0.05, 3_000, workers=3)
-        assert a.power == b.power
-
     def test_hits_equal_scalar_loop(self):
         # the per-replication loop that the stacked rows replace
         p7 = least_divergent_point(6, 0.15)
@@ -206,7 +199,6 @@ class TestMultinomialPowerMC:
             counts = stream.substream(i).gen.multinomial(n, p7)
             hits += ((counts - expected) ** 2 / expected).sum() >= est.critical_value
         assert est.power == hits / reps
-        assert pearson._power_chunk(stream, 0, reps, n, p7, U6, est.critical_value) == hits
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
@@ -224,21 +216,6 @@ class TestMultinomialPowerMC:
         negative = np.array([0.5, 0.5, 0.2, -0.2, 0.0, 0.0])
         with pytest.raises(ValueError, match="true_probs"):
             multinomial_power_mc(RandomStream(0, 0), 100, negative, U6, 0.05, 1000)
-
-    def test_threads_capped_at_blocks(self, monkeypatch):
-        pools = []
-
-        class Recorder(dist.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(dist, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(pearson, "_POWER_BLOCK", 500)
-        a = multinomial_power_mc(RandomStream(3, 1), 100, U6, U6, 0.05, 1000, workers=4)
-        assert pools == [2]  # 1000 reps form 2 blocks of 500
-        b = multinomial_power_mc(RandomStream(3, 1), 100, U6, U6, 0.05, 1000, workers=1)
-        assert a.power == b.power
 
     def test_asymptotic_vs_exact_gap(self):
         # the noncentral approximation overshoots the exact multinomial power

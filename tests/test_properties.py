@@ -21,7 +21,7 @@ from gofevid.model_fit import (
     normality_evidence_rows,
     poisson_evidence_rows,
 )
-from gofevid.sim import _PARAM_KEYS, SCENARIOS
+from gofevid.sim import SCENARIOS
 
 # derandomized so that a tier-1 run is reproducible; no example database on disk
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -192,12 +192,13 @@ def mostly(valid, junk):
 def scenario_params(scenario):
     """The scenario's own keys with plausible values, some of them junk."""
     plausible = st.fixed_dictionaries({}, optional={
-        key: mostly(plausible_params[key], json_values) for key in sorted(_PARAM_KEYS[scenario])})
+        key: mostly(plausible_params[key], json_values) for key in sorted(SCENARIOS[scenario][1])})
     return st.tuples(st.just(scenario), mostly(plausible, json_values))
 
 
 @PROPERTY
-@given(st.sampled_from(SCENARIOS).flatmap(scenario_params), mostly(st.just(True), st.just(False)))
+@given(st.sampled_from(list(SCENARIOS)).flatmap(scenario_params),
+       mostly(st.just(True), st.just(False)))
 def test_cli_simulate_params(scenario_and_params, whole):
     scenario, params = scenario_and_params
     text = json.dumps(params) if whole else json.dumps(params)[:-1]  # truncated JSON too

@@ -10,7 +10,7 @@ from gofevid import __version__
 from gofevid.dist import RandomStream, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
-from gofevid import dist, sim
+from gofevid import sim
 from gofevid.sim import (
     PoissonCellSummary,
     SimConfig,
@@ -81,11 +81,6 @@ class TestRunNormalTable:
         assert a == b
         assert a[0].grid_point == ("normal", 100)
         assert a[0].reps == 150
-
-    def test_workers_equivalent(self):
-        a = run_normal_table(("normal", "t5"), (100,), reps=100, seed=41, workers=1)
-        b = run_normal_table(("normal", "t5"), (100,), reps=100, seed=41, workers=2)
-        assert a == b
 
     def test_normal_mean_tracks_m0(self):
         # n=400 cell: evidence should average near the tabled 1.90
@@ -217,21 +212,56 @@ class TestSimConfig:
             SimConfig(scenario="table1_models", reps=1000, seed=0, params=5)
 
 
+SMALL_PARAMS = {  # one small run of each scenario; the calibration grids have 3 points
+    "vst_lof_calibration": {"nu": 5, "lambda_grid": [0, 4.5, 8]},
+    "vst_equiv_calibration": {"nu": 1.0, "lambda0": 6, "lambda_grid": [0, 6, 12]},
+    "normal_fit_table": {"families": ["normal", "t5"], "n_list": [100, 200]},
+    "poisson_fit_table": {"dists": [["poisson", 5], ["neg_binomial", 20, 0.01]],
+                          "n_list": [100, 400]},
+    "table1_models": {"n": 60, "alpha": 0.1},
+}
+CSV_HEADERS = {
+    "vst_lof_calibration": "grid_0,grid_1,mean_t,sd_t,mc_se,reps",
+    "vst_equiv_calibration": "grid_0,grid_1,grid_2,mean_t,sd_t,mc_se,reps",
+    "normal_fit_table": "grid_0,grid_1,mean_t,sd_t,mc_se,reps",
+    "poisson_fit_table": "grid_0,grid_1,mean_t,sd_t,mc_se,reps,mean_r,sd_r,mean_m0,sd_m0",
+    "table1_models": "model,d,sup_m,j_div,power,power_se,reps",
+}
+
+
 class TestMapUnits:
     def test_threads_capped_at_units(self, monkeypatch):
         pools = []
 
-        class Recorder(dist.ThreadPoolExecutor):
+        class Recorder(sim.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(dist, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
         assert run_vst_lof(1.0, [0, 1], reps=200, seed=3, workers=4) == \
             run_vst_lof(1.0, [0, 1], reps=200, seed=3, workers=1)
         assert pools == [2]
         run_vst_lof(1.0, [0], reps=200, seed=3, workers=4)
         assert pools == [2]  # a single unit runs inline
+        for scenario in ("normal_fit_table", "poisson_fit_table", "table1_models"):
+            run_scenario(SimConfig(scenario, 1000, 3, SMALL_PARAMS[scenario]), workers=4)
+        assert pools == [2]  # the tables run in the calling thread
+        for scenario in ("vst_lof_calibration", "vst_equiv_calibration"):
+            run_scenario(SimConfig(scenario, 1000, 3, SMALL_PARAMS[scenario]), workers=4)
+        assert pools == [2, 3, 3]  # three grid points each
+
+
+@pytest.mark.parametrize("scenario", sim.SCENARIOS)
+def test_scenario_bytes_independent_of_workers(tmp_path, scenario):
+    config = SimConfig(scenario, 1000, 17, SMALL_PARAMS[scenario])
+    rows = run_scenario(config, out_dir=tmp_path / "w1", workers=1)
+    run_scenario(config, out_dir=tmp_path / "w2", workers=2)
+    for name in (f"{scenario}.csv", f"{scenario}.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    lines = (tmp_path / "w1" / f"{scenario}.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADERS[scenario]
+    assert len(lines) == 1 + len(rows)
 
 
 class TestRunScenario:
