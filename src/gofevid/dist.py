@@ -3,7 +3,11 @@ streams and the probability-vector check.
 
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 ``chndtrix``.  Random streams are counter-based (Philox keyed by
-(seed, stream_id)), so substreams are cheap and order-independent.
+(seed, stream_id)), so substreams are cheap and order-independent.  A block
+of table replications re-keys one generator per block
+(``RandomStream.substream_draws``) instead of building one per replication;
+each replication still draws exactly its own substream's sequence, so the
+stream layout is unchanged.
 """
 
 from __future__ import annotations
@@ -68,6 +72,26 @@ class RandomStream:
     def substream(self, index: int) -> "RandomStream":
         """Child stream for work unit `index`; independent of drawing order."""
         return RandomStream(self.seed, _mix64(self.stream_id, int(index)))
+
+    def substream_draws(self, lo: int, hi: int, draw) -> np.ndarray:
+        """``np.stack([draw(self.substream(i).gen) for i in range(lo, hi)])``.
+
+        One Philox serves the whole range: before each index it is given the
+        state a fresh generator keyed by that substream starts in (counter 0,
+        empty buffer), which makes its stream identical to the fresh one's.
+        The generator belongs to this call alone.
+        """
+        bit_gen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
+        state = bit_gen.state  # counter 0, buffer empty, no cached 32-bit half
+        gen = np.random.Generator(bit_gen)
+
+        def one(i):
+            state["state"]["key"] = np.array([self.seed, _mix64(self.stream_id, i)],
+                                             dtype=np.uint64)
+            bit_gen.state = state
+            return draw(gen)
+
+        return np.stack([one(i) for i in range(lo, hi)])
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -164,27 +188,10 @@ def _sample_student_t(g, size, df=1.0):
     return g.standard_t(df, size=size)
 
 
-def _sample_poisson(g, size, mu=1.0):
-    if not mu >= 0:
-        raise ValueError("mu must be nonnegative")
-    return g.poisson(mu, size=size)
-
-
-def _sample_neg_binomial(g, size, mu=1.0, alpha=0.0):
-    """Mean mu, variance mu + alpha*mu^2; alpha = 0 degenerates to Poisson."""
-    if not (mu > 0 and alpha >= 0):
-        raise ValueError("need mu > 0 and alpha >= 0")
-    if alpha == 0.0:
-        return g.poisson(mu, size=size)
-    return g.negative_binomial(1.0 / alpha, 1.0 / (1.0 + alpha * mu), size=size)
-
-
 FAMILIES = {
     "normal": _sample_normal,
     "logistic": _sample_logistic,
     "student_t": _sample_student_t,
-    "poisson": _sample_poisson,
-    "neg_binomial": _sample_neg_binomial,
 }
 
 
@@ -199,10 +206,10 @@ def _count_law(kind: str, mu: float, alpha: float):
     if kind == "poisson" or (kind == "neg_binomial" and alpha == 0.0):
         return (lambda k: special.pdtr(k, mu)), (lambda k: special.pdtrc(k - 1, mu))
     if kind == "neg_binomial":
-        # numpy's negative_binomial(1/alpha, 1/(1 + alpha mu)), as in sample_family
-        size, p = 1.0 / alpha, 1.0 / (1.0 + alpha * mu)
-        q = alpha * mu / (1.0 + alpha * mu)
-        return (lambda k: special.betainc(size, k + 1.0, p)), (lambda k: special.betainc(k, size, q))
+        # numpy's negative_binomial(1/alpha, 1/(1 + alpha mu)).  Both tails are
+        # written in q = 1 - p: p itself rounds to 1 once alpha mu < 1e-16.
+        size, q = 1.0 / alpha, alpha * mu / (1.0 + alpha * mu)
+        return (lambda k: special.betaincc(k + 1.0, size, q)), (lambda k: special.betainc(k, size, q))
     raise ValueError(f"unknown count distribution {kind!r}")
 
 
@@ -227,9 +234,9 @@ def count_support(kind: str, mu: float, alpha: float = 0.0) -> int:
 def count_pmf(kind: str, mu: float, alpha: float = 0.0) -> np.ndarray:
     """P(X = k) for k < K and P(X >= K) in cell K, K = count_support(...).
 
-    ``kind`` is "poisson" or "neg_binomial" (mean mu, variance mu + alpha mu^2,
-    the law sample_family draws).  The frequency table of n iid draws is then
-    exactly Multinomial(n, count_pmf(...)).
+    ``kind`` is "poisson" or "neg_binomial" (mean mu, variance mu + alpha mu^2).
+    The frequency table of n iid draws is then exactly
+    Multinomial(n, count_pmf(...)).
     """
     K = count_support(kind, mu, alpha)
     cdf, _ = _count_law(kind, mu, alpha)

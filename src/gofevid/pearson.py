@@ -169,8 +169,7 @@ def multinomial_power_mc(
 
     hits = 0
     for a, b in row_blocks(0, reps, r):
-        counts = np.stack([stream.substream(i).gen.multinomial(n, true_probs)
-                           for i in range(a, b)])
+        counts = stream.substream_draws(a, b, lambda g: g.multinomial(n, true_probs))
         hits += int(np.count_nonzero(_pearson(counts, null_probs) >= c))
     p = hits / reps
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / reps)

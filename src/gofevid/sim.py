@@ -8,11 +8,13 @@ Python, which holds the GIL, so they run in the calling thread.  Output is
 byte-identical for any worker count.
 
 The fit tables stack their replications into rows and fit a block of rows at
-once.  A normal-table replication draws its n values.  A count-table
-replication draws its frequency table directly, as one Multinomial(n, pmf)
-draw over the law's support (``dist.count_pmf``): the frequency table of n
-iid draws has exactly that law.  That is stream layout 2; layout 1 drew the n
-values and counted them.
+once; one generator per block, re-keyed for each replication
+(``RandomStream.substream_draws``), draws every row of the block exactly as
+the replication's own substream would.  A normal-table replication draws its
+n values.  A count-table replication draws its frequency table directly, as
+one Multinomial(n, pmf) draw over the law's support (``dist.count_pmf``): the
+frequency table of n iid draws has exactly that law.  That is stream layout
+2; layout 1 drew the n values and counted them.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import scipy
 
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import ChiSqParams, RandomStream, count_pmf, count_support, sample_chisq, \
-    sample_family
+from .dist import FAMILIES, ChiSqParams, RandomStream, count_pmf, count_support, sample_chisq
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
@@ -51,7 +52,7 @@ __all__ = [
     "run_scenario",
 ]
 
-TABLE3 = {  # Table 3 family -> (sample_family name, its parameters)
+TABLE3 = {  # Table 3 family -> (dist.FAMILIES name, its parameters)
     "normal": ("normal", {}),
     "logistic": ("logistic", {}),
     "t5": ("student_t", {"df": 5.0}),
@@ -216,11 +217,11 @@ def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 
 
     def unit(idx, family, n):
         name, params = TABLE3[family]
+        sampler = FAMILIES[name]
         cell_stream = RandomStream(seed, idx)
         ts = np.empty(reps)
         for lo, hi in row_blocks(0, reps, n):
-            data = np.stack([sample_family(cell_stream.substream(i), name, size=n, **params)
-                             for i in range(lo, hi)])
+            data = cell_stream.substream_draws(lo, hi, lambda g: sampler(g, n, **params))
             ts[lo:hi] = normality_evidence_rows(data)
         return _summarize((family, n), ts)
 
@@ -244,8 +245,7 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
         rs = np.empty(reps)
         m0s = np.empty(reps)
         for lo, hi in row_blocks(0, reps, len(pmf)):
-            tables = np.stack([cell_stream.substream(i).gen.multinomial(n, pmf)
-                               for i in range(lo, hi)])
+            tables = cell_stream.substream_draws(lo, hi, lambda g: g.multinomial(n, pmf))
             try:
                 _, rs[lo:hi], m0s[lo:hi], ts[lo:hi] = poisson_evidence_rows(tables)
             except UndefinedFit as exc:

@@ -29,3 +29,31 @@ def test_patched_class_members_exist():
 
     assert isinstance(RandomStream.__dict__.get("gen"), property)
     assert "__post_init__" in CellData.__dict__
+
+
+# smallest accepted --reps: SimConfig's floor, or multinomial_power_mc's for table1_models
+SMALLEST_REPS = {"table1_models": 1000}
+
+
+def test_traced_simulate_runs_every_scenario(tmp_path):
+    # the traced benchmark run wraps gofevid's functions and RandomStream.gen;
+    # every scenario must still run under it, on the pool path too
+    from gofevid import cli, sim
+    from gofevid.dist import RandomStream
+
+    tracing = _load_tracing()
+    gen = RandomStream.__dict__["gen"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = {scenario: cli.main(["simulate", "--scenario", scenario,
+                                     "--reps", str(SMALLEST_REPS.get(scenario, 100)),
+                                     "--workers", "2", "--out", str(tmp_path)])
+                 for scenario in sim.SCENARIOS}
+    finally:
+        tracer.uninstall()
+    assert codes == dict.fromkeys(sim.SCENARIOS, 0)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["cli.main.count"] == len(sim.SCENARIOS)
+    assert metrics["cli.main.nonzero_exits"] == 0
+    assert RandomStream.__dict__["gen"] is gen

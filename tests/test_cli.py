@@ -291,6 +291,13 @@ class TestSimulate:
         assert code == 1
         assert f"cell ['poisson', {mu}], n = 100, replication 0: {cause}" in err
 
+    def test_tiny_neg_binomial_alpha_runs(self, capsys, tmp_path):
+        # alpha mu = 1e-26: the law is Poisson(0.5) to double precision, not a point mass at 0
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "poisson_fit_table",
+                               "--reps", "100", "--out", str(tmp_path), "--params",
+                               '{"dists":[["neg_binomial",0.5,1.85e-26]],"n_list":[221]}')
+        assert code == 0, err
+
     def test_count_support_bounded(self, capsys, tmp_path):
         # the support width is checked before any table is allocated
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "poisson_fit_table",

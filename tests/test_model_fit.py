@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gofevid.dist import RandomStream, count_pmf, sample_family
+from gofevid.dist import RandomStream, count_pmf
 from gofevid.evidence import EquivalenceParams, equiv_transform
 from gofevid.fixtures import ALPHA_EMISSIONS_COUNTS
 from gofevid.model_fit import (
@@ -172,7 +172,7 @@ class TestEvidenceForPoisson:
         reps = 4000
         ts = np.empty(reps)
         for i in range(reps):
-            values = sample_family(stream.substream(i), "poisson", size=1600, mu=5.0)
+            values = stream.substream(i).gen.poisson(5.0, size=1600)
             ts[i] = evidence_for_poisson(np.bincount(values)).evidence.t
         assert abs(ts.mean() - 3.89) < 0.1
 
@@ -281,9 +281,12 @@ class TestPoissonEvidenceRows:
         n, reps = 400, 1500
         mu_a, _, _, t_a = poisson_evidence_rows(_multinomial_tables(dist, n, reps, seed=71))
         stream = RandomStream(72, 0)
-        kw = {"mu": dist[1]} if dist[0] == "poisson" else {"mu": dist[1], "alpha": dist[2]}
-        reports = [evidence_for_poisson(np.bincount(
-            sample_family(stream.substream(i), dist[0], size=n, **kw))) for i in range(reps)]
+        if dist[0] == "poisson":
+            draw = lambda g: g.poisson(dist[1], size=n)
+        else:
+            draw = lambda g: g.negative_binomial(1.0 / dist[2], 1.0 / (1.0 + dist[2] * dist[1]), size=n)
+        reports = [evidence_for_poisson(np.bincount(draw(stream.substream(i).gen)))
+                   for i in range(reps)]
         mu_b = np.array([rep.mu_hat for rep in reports])
         t_b = np.array([rep.evidence.t for rep in reports])
         for a, b in ((mu_a, mu_b), (t_a, t_b)):

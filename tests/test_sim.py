@@ -7,10 +7,11 @@ import scipy
 
 import oracles
 from gofevid import __version__
-from gofevid.dist import RandomStream, sample_family
+from gofevid.dist import RandomStream, count_pmf, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
 from gofevid import sim
+from gofevid.pearson import multinomial_power_mc, row_blocks
 from gofevid.sim import (
     PoissonCellSummary,
     SimConfig,
@@ -250,6 +251,36 @@ class TestMapUnits:
         for scenario in ("vst_lof_calibration", "vst_equiv_calibration"):
             run_scenario(SimConfig(scenario, 1000, 3, SMALL_PARAMS[scenario]), workers=4)
         assert pools == [2, 3, 3]  # three grid points each
+
+
+class TestGeneratorsPerBlock:
+    """A block of stacked replications builds one bit generator, however many
+    replications it holds."""
+
+    @pytest.fixture
+    def philox_builds(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        return built
+
+    def test_normal_table(self, philox_builds):
+        run_normal_table(("normal",), (1600,), reps=40, seed=1)
+        assert len(philox_builds) == len(row_blocks(0, 40, 1600)) == 4
+
+    def test_poisson_table(self, philox_builds):
+        run_poisson_table((("poisson", 5),), (100,), reps=2000, seed=1)
+        assert len(philox_builds) == len(row_blocks(0, 2000, len(count_pmf("poisson", 5)))) == 5
+
+    def test_multinomial_power_mc(self, philox_builds):
+        probs = np.full(6, 1.0 / 6)
+        multinomial_power_mc(RandomStream(1, 0), 100, probs, probs, 0.05, 6000)
+        assert len(philox_builds) == len(row_blocks(0, 6000, 6)) == 3
 
 
 @pytest.mark.parametrize("scenario", sim.SCENARIOS)
