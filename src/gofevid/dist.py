@@ -6,8 +6,9 @@ The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 (seed, stream_id)), so substreams are cheap and order-independent.  A block
 of table replications re-keys one generator per block
 (``RandomStream.substream_draws``) instead of building one per replication;
-each replication still draws exactly its own substream's sequence, so the
-stream layout is unchanged.
+each replication still draws exactly its own substream's sequence.
+``sample_chisq`` draws a noncentral chi-squared with nu >= 1 as a shifted
+normal squared plus a central remainder (stream layout 3).
 """
 
 from __future__ import annotations
@@ -159,15 +160,23 @@ def chisq_quantile(p: float, params: ChiSqParams) -> float:
 def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):
     """Draw from the (non)central chi-squared law.
 
-    A noncentral draw is a central chi-squared with nu + 2K df, K ~
-    Poisson(lam/2); the central path never touches the Poisson sampler.
+    Central (lam = 0): 2 Gamma(nu/2).  For nu >= 1 a noncentral draw uses the
+    identity chi2(nu, lam) = (Z + sqrt(lam))^2 + chi2(nu - 1): all `size`
+    standard normals first, then, when nu > 1, 2 Gamma((nu - 1)/2) for each
+    (stream layout 3).  For nu < 1 it is a central chi-squared with nu + 2K df,
+    K ~ Poisson(lam/2), drawn as in layout 2.
     """
     g = stream.gen
-    half_nu = 0.5 * params.nu
-    if params.lam == 0.0:
-        return 2.0 * g.standard_gamma(half_nu, size=size)
-    k = g.poisson(0.5 * params.lam, size=size)
-    return 2.0 * g.standard_gamma(half_nu + k, size=size)
+    nu, lam = params.nu, params.lam
+    if lam == 0.0:
+        return 2.0 * g.standard_gamma(0.5 * nu, size=size)
+    if nu < 1.0:
+        k = g.poisson(0.5 * lam, size=size)
+        return 2.0 * g.standard_gamma(0.5 * nu + k, size=size)
+    x = np.square(g.standard_normal(size) + math.sqrt(lam))
+    if nu > 1.0:
+        x += 2.0 * g.standard_gamma(0.5 * (nu - 1.0), size=size)
+    return x
 
 
 def _sample_normal(g, size, mu=0.0, sigma=1.0):

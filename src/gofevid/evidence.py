@@ -75,6 +75,13 @@ def _check_s_nu(s, nu):
         raise ValueError("statistic s must be nonnegative and not NaN")
 
 
+def _branch_root(s: np.ndarray, nu: float):
+    """(s < nu, the branch's root): sqrt(2 s) below s = nu and sqrt(s - nu/2)
+    above, one np.sqrt over the selected arguments."""
+    lower = s < nu
+    return lower, np.sqrt(np.where(lower, 2.0 * s, s - 0.5 * nu))
+
+
 def lof_transform(s, nu: float, bias_adjust: bool = True):
     """Evidence against the null model, vectorized over s.
 
@@ -85,10 +92,8 @@ def lof_transform(s, nu: float, bias_adjust: bool = True):
     _check_s_nu(s, nu)
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty(sa.shape, dtype=float)
-    lower = sa < nu
-    out[lower] = np.sqrt(2.0 * sa[lower]) - math.sqrt(2.0 * nu)
-    out[~lower] = np.sqrt(sa[~lower] - 0.5 * nu) - math.sqrt(0.5 * nu)
+    lower, root = _branch_root(sa, nu)
+    out = root - np.where(lower, math.sqrt(2.0 * nu), math.sqrt(0.5 * nu))
     if bias_adjust:
         out += 0.2 / math.sqrt(nu)
     return float(out[0]) if scalar else out
@@ -108,10 +113,8 @@ def equiv_transform(s, params: EquivalenceParams, bias_adjust: bool = True):
     sa = np.atleast_1d(np.asarray(s, dtype=float))
     c1 = math.sqrt(lam0 + 0.5 * nu)
     c0 = c1 - math.sqrt(0.5 * nu) + math.sqrt(2.0 * nu)
-    out = np.empty(sa.shape, dtype=float)
-    lower = sa < nu
-    out[lower] = c0 - np.sqrt(2.0 * sa[lower])
-    out[~lower] = c1 - np.sqrt(sa[~lower] - 0.5 * nu)
+    lower, root = _branch_root(sa, nu)
+    out = np.where(lower, c0, c1) - root
     if bias_adjust:
         out -= 0.5 / c1
     return float(out[0]) if scalar else out

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 CHUNK_VALUES = 1 << 14  # values held at once when replications are stacked into rows
+MIN_POWER_REPS = 1000  # fewest replications multinomial_power_mc accepts
 
 
 def row_blocks(lo: int, hi: int, width: int):
@@ -156,8 +157,8 @@ def multinomial_power_mc(
     Each replication draws from its own substream, so the estimate is
     independent of how the replications are blocked.
     """
-    if reps < 1000:
-        raise ValueError("reps must be at least 1000")
+    if reps < MIN_POWER_REPS:
+        raise ValueError(f"reps must be at least {MIN_POWER_REPS}")
     true_probs = np.asarray(true_probs, dtype=float)
     null_probs = np.asarray(null_probs, dtype=float)
     if true_probs.shape != null_probs.shape:

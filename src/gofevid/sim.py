@@ -3,9 +3,15 @@
 Every scenario is reproducible from (config, seed): each grid point or table
 cell owns the substream derived from its position, and within table cells
 each replication owns a further substream.  Only the calibration grid points
-run on threads, one bulk draw each; the tables loop over replications in
-Python, which holds the GIL, so they run in the calling thread.  Output is
-byte-identical for any worker count.
+run on threads; the tables loop over replications in Python, which holds the
+GIL, so they run in the calling thread.  Output is byte-identical for any
+worker count.
+
+A calibration grid point draws its replications from its own stream in blocks
+of VST_BLOCK (``dist.sample_chisq``: for nu >= 1 the block's standard normals,
+then its gammas), transforms each block and merges the blocks' moments, so its
+memory is bounded for any reps.  That is stream layout 3; layout 2 drew all
+reps at once from the Poisson mixture.
 
 The fit tables stack their replications into rows and fit a block of rows at
 once; one generator per block, re-keyed for each replication
@@ -13,8 +19,8 @@ once; one generator per block, re-keyed for each replication
 the replication's own substream would.  A normal-table replication draws its
 n values.  A count-table replication draws its frequency table directly, as
 one Multinomial(n, pmf) draw over the law's support (``dist.count_pmf``): the
-frequency table of n iid draws has exactly that law.  That is stream layout
-2; layout 1 drew the n values and counted them.
+frequency table of n iid draws has exactly that law (since stream layout 2;
+layout 1 drew the n values and counted them).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .dist import FAMILIES, ChiSqParams, RandomStream, count_pmf, count_support,
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
-from .pearson import multinomial_power_mc, row_blocks
+from .pearson import MIN_POWER_REPS, multinomial_power_mc, row_blocks
 
 __all__ = [
     "SimConfig",
@@ -63,7 +69,12 @@ TABLE4_DISTS = tuple(
     + [("neg_binomial", mu, 0.01) for mu in (1, 5, 10, 20)]
 )
 TABLE_N_LIST = (100, 400, 1600, 6400)
-STREAM_LAYOUT = 2  # 2: count-table replications draw their frequency table as one multinomial
+MAX_TABLE_N = 10_000_000  # largest sample size a fit-table cell accepts
+# 2: count-table replications draw their frequency table as one multinomial;
+# 3: a calibration grid point draws chi2(nu, lam), nu >= 1, as a shifted normal
+#    squared plus a central remainder, in blocks of VST_BLOCK replications
+STREAM_LAYOUT = 3
+VST_BLOCK = 2**16  # replications a calibration grid point draws and transforms at once
 
 
 @dataclass(frozen=True)
@@ -107,8 +118,9 @@ class SimConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"choose from {tuple(SCENARIOS)}")
-        if self.reps < 100:
-            raise ValueError("reps must be at least 100")
+        min_reps = MIN_POWER_REPS if self.scenario == "table1_models" else 100
+        if self.reps < min_reps:
+            raise ValueError(f"reps must be at least {min_reps}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         _validate_params(self.scenario, self.params)
@@ -160,9 +172,9 @@ def _validate_params(scenario: str, params: dict) -> None:
     if "dists" in params:
         for dist in _nonempty_list(params, "dists"):
             _check_dist(dist)
-    if "n_list" in params and not all(
-            _is_int(n) and n >= 100 for n in _nonempty_list(params, "n_list")):
-        raise ValueError("n_list entries must be integers of at least 100")
+    if "n_list" in params and not all(  # one table row holds n values: bound it here
+            _is_int(n) and 100 <= n <= MAX_TABLE_N for n in _nonempty_list(params, "n_list")):
+        raise ValueError(f"n_list entries must be integers from 100 to {MAX_TABLE_N}")
     if "n" in params and not (_is_int(params["n"]) and params["n"] >= 1):
         raise ValueError("n must be a positive integer")
     if "alpha" in params and not (_is_real(params["alpha"]) and 0 < params["alpha"] < 1):
@@ -173,6 +185,18 @@ def _summarize(grid_point: tuple, values: np.ndarray) -> SimSummary:
     sd = float(values.std(ddof=1))
     return SimSummary(grid_point=grid_point, mean_t=float(values.mean()), sd_t=sd,
                       mc_se=float(sd / np.sqrt(len(values))), reps=len(values))
+
+
+def _merge_moments(acc: tuple, values: np.ndarray) -> tuple:
+    """(n, mean, M2) of acc's values and `values` together, M2 being the sum
+    of squared deviations from the mean (Chan, Golub & LeVeque 1979)."""
+    n_a, mean_a, m2_a = acc
+    n_b = len(values)
+    mean_b = float(values.mean())
+    m2_b = float(np.square(values - mean_b).sum())
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
 
 
 def _map_units(fn, items: list, workers: int) -> list:
@@ -187,11 +211,26 @@ def _map_units(fn, items: list, workers: int) -> list:
 
 def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, seed: int,
              workers: int):
-    """Summaries of transform(S), S ~ chi2(nu, lambda), one unit per lambda."""
+    """Summaries of transform(S), S ~ chi2(nu, lambda), one unit per lambda.
+
+    A unit draws its reps in blocks of VST_BLOCK from its own stream; one
+    block is summarized as it stands, more are merged block by block, so
+    memory stays bounded for any reps.
+    """
     def unit(item):
         idx, lam = item
-        s = sample_chisq(RandomStream(seed, idx), ChiSqParams(nu, lam), size=reps)
-        return _summarize((*grid_head, lam), transform(s))
+        grid_point = (*grid_head, lam)
+        stream, params = RandomStream(seed, idx), ChiSqParams(nu, lam)
+        if reps <= VST_BLOCK:
+            return _summarize(grid_point, transform(sample_chisq(stream, params, size=reps)))
+        acc = (0, 0.0, 0.0)
+        for lo in range(0, reps, VST_BLOCK):
+            size = min(VST_BLOCK, reps - lo)
+            acc = _merge_moments(acc, transform(sample_chisq(stream, params, size=size)))
+        n, mean, m2 = acc
+        sd = math.sqrt(m2 / (n - 1))
+        return SimSummary(grid_point=grid_point, mean_t=mean, sd_t=sd, mc_se=sd / math.sqrt(n),
+                          reps=n)
 
     return _map_units(unit, list(enumerate(float(l) for l in lambda_grid)), workers)
 

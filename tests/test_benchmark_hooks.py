@@ -31,7 +31,7 @@ def test_patched_class_members_exist():
     assert "__post_init__" in CellData.__dict__
 
 
-# smallest accepted --reps: SimConfig's floor, or multinomial_power_mc's for table1_models
+# smallest --reps SimConfig accepts (multinomial_power_mc's floor for table1_models)
 SMALLEST_REPS = {"table1_models": 1000}
 
 

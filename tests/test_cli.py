@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,25 @@ class TestSimulate:
                                "--params", params)
         assert code == 1
         assert f"cell ['poisson', {mu}], n = 100, replication 0: {cause}" in err
+
+    def test_huge_n_rejected_before_allocating(self, capsys, tmp_path):
+        tracemalloc.start()
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "normal_fit_table",
+                               "--reps", "100", "--out", str(tmp_path),
+                               "--params", '{"families": ["normal"], "n_list": [1000000000000]}')
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert code == 1
+        assert "n_list entries must be integers from 100 to 10000000" in err
+        assert peak < 1 << 20
+        assert not (tmp_path / "normal_fit_table").exists()
+
+    def test_table1_reps_floor_is_a_config_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("the run started"))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
+                               "--reps", "200", "--out", str(tmp_path))
+        assert code == 1
+        assert "reps must be at least 1000" in err
 
     def test_tiny_neg_binomial_alpha_runs(self, capsys, tmp_path):
         # alpha mu = 1e-26: the law is Poisson(0.5) to double precision, not a point mass at 0

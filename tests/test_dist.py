@@ -253,6 +253,37 @@ class TestSampleChiSq:
         assert ks < 0.01
 
 
+class TestSampleChiSqLayout3:
+    """nu >= 1 draws (Z + sqrt(lam))^2 + 2 Gamma((nu - 1)/2); the central and
+    nu < 1 paths draw as in stream layout 2."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("lam", [0.5, 12.0, 200.0])
+    def test_ks_against_cdf(self, nu, lam):
+        params = ChiSqParams(nu, lam)
+        draws = sample_chisq(RandomStream(808, int(10 * nu + lam)), params, size=20_000)
+        assert stats.kstest(draws, lambda x: chisq_cdf(x, params)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("nu,lam", [(0.5, 12.0), (0.25, 0.5), (1.0, 0.0), (5.0, 0.0)])
+    def test_layout2_paths_unchanged(self, nu, lam):
+        g = RandomStream(3, 7).gen
+        if lam == 0.0:
+            manual = 2.0 * g.standard_gamma(0.5 * nu, size=1000)
+        else:
+            manual = 2.0 * g.standard_gamma(0.5 * nu + g.poisson(0.5 * lam, size=1000), size=1000)
+        draws = sample_chisq(RandomStream(3, 7), ChiSqParams(nu, lam), size=1000)
+        assert draws.tobytes() == manual.tobytes()
+
+    @pytest.mark.parametrize("nu,lam", [(1.0, 12.0), (1.0, 0.5), (2.5, 12.0), (5.0, 200.0)])
+    def test_shifted_normal_path(self, nu, lam):
+        g = RandomStream(3, 7).gen
+        manual = (g.standard_normal(1000) + math.sqrt(lam)) ** 2
+        if nu > 1.0:
+            manual = manual + 2.0 * g.standard_gamma(0.5 * (nu - 1.0), size=1000)
+        draws = sample_chisq(RandomStream(3, 7), ChiSqParams(nu, lam), size=1000)
+        assert draws.tobytes() == manual.tobytes()
+
+
 class TestSampleFamily:
     def test_normal_and_logistic_and_t(self):
         g = RandomStream(2, 2)

@@ -173,3 +173,47 @@ class TestEvidenceLabel:
     def test_domain(self):
         with pytest.raises(ValueError):
             evidence_label(float("inf"))
+
+
+def _masked_lof(s, nu, bias_adjust):
+    """The transform as it was written with boolean-mask scatter."""
+    out = np.empty(s.shape)
+    lower = s < nu
+    out[lower] = np.sqrt(2.0 * s[lower]) - math.sqrt(2.0 * nu)
+    out[~lower] = np.sqrt(s[~lower] - 0.5 * nu) - math.sqrt(0.5 * nu)
+    if bias_adjust:
+        out += 0.2 / math.sqrt(nu)
+    return out
+
+
+def _masked_equiv(s, nu, lam0, bias_adjust):
+    c1 = math.sqrt(lam0 + 0.5 * nu)
+    c0 = c1 - math.sqrt(0.5 * nu) + math.sqrt(2.0 * nu)
+    out = np.empty(s.shape)
+    lower = s < nu
+    out[lower] = c0 - np.sqrt(2.0 * s[lower])
+    out[~lower] = c1 - np.sqrt(s[~lower] - 0.5 * nu)
+    if bias_adjust:
+        out -= 0.5 / c1
+    return out
+
+
+class TestBranchFreeTransforms:
+    """np.where over one np.sqrt gives the masked formula's bytes exactly."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 5.0, 14.0])
+    @pytest.mark.parametrize("bias_adjust", [True, False])
+    def test_byte_identical_to_masked_formula(self, nu, bias_adjust):
+        draws = sample_chisq(RandomStream(19, int(nu * 10)), ChiSqParams(nu, 3.0), size=2000)
+        s = np.concatenate([[nu, 0.0, np.inf, np.nextafter(nu, 0.0), 0.5 * nu], draws])
+        assert (s < nu).any() and (s >= nu).any()
+        got = lof_transform(s, nu, bias_adjust)
+        assert got.tobytes() == _masked_lof(s, nu, bias_adjust).tobytes()
+        got = equiv_transform(s, EquivalenceParams(nu, 12.0), bias_adjust)
+        assert got.tobytes() == _masked_equiv(s, nu, 12.0, bias_adjust).tobytes()
+
+    def test_scalars_match_masked_formula(self):
+        for s in (0.0, 1.0, 5.0, 7.76, np.inf):
+            assert lof_transform(s, 5.0) == _masked_lof(np.array([s]), 5.0, True)[0]
+            assert equiv_transform(s, EquivalenceParams(5.0, 12.0)) == \
+                _masked_equiv(np.array([s]), 5.0, 12.0, True)[0]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy
 
 import oracles
 from gofevid import __version__
-from gofevid.dist import RandomStream, count_pmf, sample_family
+from gofevid.dist import ChiSqParams, RandomStream, count_pmf, sample_chisq, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
 from gofevid import sim
@@ -48,6 +49,39 @@ class TestRunVstLof:
         assert row.reps == 500
         assert row.mc_se == pytest.approx(row.sd_t / math.sqrt(500))
         assert row.grid_point == (5.0, 8.0)
+
+
+class TestVstBlocks:
+    """More than VST_BLOCK replications are drawn block by block from the grid
+    point's stream and their moments merged."""
+
+    def test_merged_summary_matches_one_pass(self):
+        reps, nu, lam = sim.VST_BLOCK + 1, 5.0, 8.0
+        (row,) = run_vst_lof(nu, [lam], reps=reps, seed=41)
+        stream, params = RandomStream(41, 0), ChiSqParams(nu, lam)
+        t = np.concatenate([lof_transform(sample_chisq(stream, params, size=size), nu)
+                            for size in (sim.VST_BLOCK, 1)])
+        assert row.reps == reps
+        assert row.mean_t == pytest.approx(t.mean(), rel=1e-12)
+        assert row.sd_t == pytest.approx(t.std(ddof=1), rel=1e-12)
+        assert row.mc_se == pytest.approx(t.std(ddof=1) / math.sqrt(reps), rel=1e-12)
+
+    def test_draws_never_exceed_a_block(self, monkeypatch):
+        sizes = []
+        sample = sim.sample_chisq
+
+        def recording(stream, params, size):
+            sizes.append(size)
+            return sample(stream, params, size)
+
+        monkeypatch.setattr(sim, "sample_chisq", recording)
+        run_vst_equiv(1.0, 12.0, [3.0], reps=2 * sim.VST_BLOCK + 5, seed=2)
+        assert sizes == [2**16, 2**16, 5]  # for nu > 1 the block size is part of layout 3
+
+    def test_workers_equivalent(self):
+        a = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=1)
+        b = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=2)
+        assert a == b
 
 
 class TestRunVstEquiv:
@@ -208,6 +242,24 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(scenario=scenario, reps=1000, seed=0, params=params)
 
+    @pytest.mark.parametrize("scenario", ["normal_fit_table", "poisson_fit_table"])
+    def test_n_list_capped_before_allocating(self, scenario):
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="integers from 100 to 10000000"):
+            SimConfig(scenario, 1000, 0, {"n_list": [10**12]})
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="integers from 100 to 10000000"):
+            SimConfig(scenario, 1000, 0, {"n_list": [sim.MAX_TABLE_N + 1]})
+        SimConfig(scenario, 1000, 0, {"n_list": [100, sim.MAX_TABLE_N]})
+
+    def test_table1_reps_floor(self):
+        with pytest.raises(ValueError, match="reps must be at least 1000"):
+            SimConfig("table1_models", 200, 1)
+        SimConfig("table1_models", 1000, 1)
+        SimConfig("normal_fit_table", 200, 1)  # the other scenarios keep the floor of 100
+
     def test_params_must_be_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             SimConfig(scenario="table1_models", reps=1000, seed=0, params=5)
@@ -320,7 +372,7 @@ class TestRunScenario:
         config = SimConfig(scenario="table1_models", reps=1000, seed=6)
         run_scenario(config, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 2
+        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 3
         assert manifest["versions"] == {"gofevid": __version__, "numpy": np.__version__,
                                         "scipy": scipy.__version__}
 
