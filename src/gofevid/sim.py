@@ -181,22 +181,31 @@ def _validate_params(scenario: str, params: dict) -> None:
         raise ValueError("alpha must lie strictly in (0, 1)")
 
 
-def _summarize(grid_point: tuple, values: np.ndarray) -> SimSummary:
-    sd = float(values.std(ddof=1))
-    return SimSummary(grid_point=grid_point, mean_t=float(values.mean()), sd_t=sd,
-                      mc_se=float(sd / np.sqrt(len(values))), reps=len(values))
+def _moments(values: np.ndarray) -> tuple:
+    """(n, mean, M2) of `values`, M2 being the sum of squared deviations from
+    the mean: the terms ``values.std(ddof=1)`` sums."""
+    mean = float(values.mean())
+    return len(values), mean, float(np.square(values - mean).sum())
 
 
-def _merge_moments(acc: tuple, values: np.ndarray) -> tuple:
-    """(n, mean, M2) of acc's values and `values` together, M2 being the sum
-    of squared deviations from the mean (Chan, Golub & LeVeque 1979)."""
-    n_a, mean_a, m2_a = acc
-    n_b = len(values)
-    mean_b = float(values.mean())
-    m2_b = float(np.square(values - mean_b).sum())
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """(n, mean, M2) of two sets of values together (Chan, Golub & LeVeque
+    1979); merged into (0, 0.0, 0.0), b comes back unchanged."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
     n = n_a + n_b
     delta = mean_b - mean_a
-    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
+def _summary(grid_point: tuple, n: int, mean: float, m2: float) -> SimSummary:
+    sd = math.sqrt(m2 / (n - 1))
+    return SimSummary(grid_point=grid_point, mean_t=mean, sd_t=sd, mc_se=sd / math.sqrt(n),
+                      reps=n)
+
+
+def _summarize(grid_point: tuple, values: np.ndarray) -> SimSummary:
+    return _summary(grid_point, *_moments(values))
 
 
 def _map_units(fn, items: list, workers: int) -> list:
@@ -213,24 +222,17 @@ def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, see
              workers: int):
     """Summaries of transform(S), S ~ chi2(nu, lambda), one unit per lambda.
 
-    A unit draws its reps in blocks of VST_BLOCK from its own stream; one
-    block is summarized as it stands, more are merged block by block, so
-    memory stays bounded for any reps.
+    A unit draws its reps in blocks of VST_BLOCK from its own stream and
+    merges the blocks' moments, so memory stays bounded for any reps.
     """
     def unit(item):
         idx, lam = item
-        grid_point = (*grid_head, lam)
         stream, params = RandomStream(seed, idx), ChiSqParams(nu, lam)
-        if reps <= VST_BLOCK:
-            return _summarize(grid_point, transform(sample_chisq(stream, params, size=reps)))
         acc = (0, 0.0, 0.0)
         for lo in range(0, reps, VST_BLOCK):
             size = min(VST_BLOCK, reps - lo)
-            acc = _merge_moments(acc, transform(sample_chisq(stream, params, size=size)))
-        n, mean, m2 = acc
-        sd = math.sqrt(m2 / (n - 1))
-        return SimSummary(grid_point=grid_point, mean_t=mean, sd_t=sd, mc_se=sd / math.sqrt(n),
-                          reps=n)
+            acc = _merge_moments(acc, _moments(transform(sample_chisq(stream, params, size=size))))
+        return _summary((*grid_head, lam), *acc)
 
     return _map_units(unit, list(enumerate(float(l) for l in lambda_grid)), workers)
 

@@ -24,10 +24,11 @@ import numpy as np
 import scipy
 
 from gofevid import cli, sim
+from gofevid.pearson import MIN_POWER_REPS
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SEED = 17
-SCENARIO_REPS = {"table1_models": 1000}  # multinomial_power_mc's floor; the others run 200
+SCENARIO_REPS = {"table1_models": MIN_POWER_REPS}  # its floor; the others run 200
 REPORTS = {  # output name -> CLI arguments; each runs with -f json
     "evidence-lof": ["evidence-lof", "--fixture", "die"],
     "evidence-equiv": ["evidence-equiv", "--fixture", "die"],

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from gofevid.pearson import MIN_POWER_REPS
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -32,7 +34,7 @@ def test_patched_class_members_exist():
 
 
 # smallest --reps SimConfig accepts (multinomial_power_mc's floor for table1_models)
-SMALLEST_REPS = {"table1_models": 1000}
+SMALLEST_REPS = {"table1_models": MIN_POWER_REPS}
 
 
 def test_traced_simulate_runs_every_scenario(tmp_path):
