@@ -96,8 +96,14 @@ def sample_size(m0: float, nu: float, r: int, d0: float) -> int:
     if not (0.0 < m0 < math.inf and 0.0 < nu < math.inf and 0.0 < d0 < math.inf):
         raise ValueError("m0, nu, d0 must all be positive and finite")
     check_r(r)
-    lam0 = (m0 + math.sqrt(0.5 * nu)) ** 2 - 0.5 * nu
-    return int(math.ceil(max(lam0 / (r * d0 * d0), 5.0 * r)))
+    try:
+        n = ((m0 + math.sqrt(0.5 * nu)) ** 2 - 0.5 * nu) / (r * d0 * d0)
+    except (OverflowError, ZeroDivisionError):  # the square overflows, or d0 * d0 underflows
+        n = math.inf
+    if not n < math.inf:
+        raise ValueError("the required sample size is not a finite number; "
+                         "give a smaller m0 or a larger d0")
+    return int(math.ceil(max(n, 5.0 * r)))
 
 
 def table2(m0_list, r_list, k: float = 1.0) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -305,17 +306,23 @@ def _usable_cpus() -> int:
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except RecursionError:
+        raise ValueError("--params is nested too deeply") from None
     config = SimConfig(scenario=args.scenario, reps=args.reps, seed=args.seed,
                        params=params)
     out_dir = args.out or os.environ.get("GOFEVID_RESULTS_DIR", "results")
     out = Path(out_dir) / args.scenario
+    out.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out fails at once
     rows = run_scenario(config, out_dir=out, workers=min(args.workers, _usable_cpus()))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse gets a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="gofevid",
         description="Calibrated evidence for and against goodness of fit "
@@ -384,14 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: simulate could not write its results
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -145,12 +145,13 @@ def _normal_cells(x: np.ndarray):
         raise ValueError("degenerate data: sample standard deviation is 0")
     r = choose_r_normal(n)
     edges = xbar + s * normal_quantile(np.arange(1, r) / r)
-    cell = np.zeros(x.shape, dtype=np.intp)
+    # column j counts the values at or above the j-th edge (1-based): column 0
+    # is n and column r is 0, so adjacent differences are the cell counts
+    at_or_above = np.zeros((len(x), r + 1), dtype=np.intp)
+    at_or_above[:, 0] = n
     for j in range(r - 1):
-        cell += x >= edges[:, j : j + 1]
-    cell += r * np.arange(len(x))[:, None]
-    counts = np.bincount(cell.ravel(), minlength=len(x) * r).reshape(len(x), r)
-    return edges, counts
+        at_or_above[:, j + 1] = np.count_nonzero(x >= edges[:, j : j + 1], axis=1)
+    return edges, at_or_above[:, :-1] - at_or_above[:, 1:]
 
 
 def _normal_params(n: int, r: int, k: float) -> EquivalenceParams:

@@ -22,7 +22,7 @@ __all__ = [
     "multinomial_power_mc",
 ]
 
-CHUNK_VALUES = 1 << 14  # values held at once when replications are stacked into rows
+CHUNK_VALUES = 1 << 16  # values held at once when replications are stacked into rows
 MIN_POWER_REPS = 1000  # fewest replications multinomial_power_mc accepts
 
 

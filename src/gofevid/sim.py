@@ -69,7 +69,7 @@ TABLE4_DISTS = tuple(
     + [("neg_binomial", mu, 0.01) for mu in (1, 5, 10, 20)]
 )
 TABLE_N_LIST = (100, 400, 1600, 6400)
-MAX_TABLE_N = 10_000_000  # largest sample size a fit-table cell accepts
+MAX_TABLE_N = 10_000_000  # largest sample size a fit-table cell or table1_models accepts
 # 2: count-table replications draw their frequency table as one multinomial;
 # 3: a calibration grid point draws chi2(nu, lam), nu >= 1, as a shifted normal
 #    squared plus a central remainder, in blocks of VST_BLOCK replications
@@ -175,8 +175,8 @@ def _validate_params(scenario: str, params: dict) -> None:
     if "n_list" in params and not all(  # one table row holds n values: bound it here
             _is_int(n) and 100 <= n <= MAX_TABLE_N for n in _nonempty_list(params, "n_list")):
         raise ValueError(f"n_list entries must be integers from 100 to {MAX_TABLE_N}")
-    if "n" in params and not (_is_int(params["n"]) and params["n"] >= 1):
-        raise ValueError("n must be a positive integer")
+    if "n" in params and not (_is_int(params["n"]) and 1 <= params["n"] <= MAX_TABLE_N):
+        raise ValueError(f"n must be an integer from 1 to {MAX_TABLE_N}")
     if "alpha" in params and not (_is_real(params["alpha"]) and 0 < params["alpha"] < 1):
         raise ValueError("alpha must lie strictly in (0, 1)")
 

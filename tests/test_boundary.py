@@ -153,6 +153,15 @@ class TestSampleSize:
             shrink = [sample_size(3.3, r - 1, r, d) for d in (d0, d0 / 2, d0 / 4)]
             assert all(a <= b for a, b in zip(shrink, shrink[1:]))
 
+    @pytest.mark.parametrize("m0,d0", [
+        (1e308, 1 / math.sqrt(30)),   # the square of m0 overflows
+        (3.3, 1e-300 / math.sqrt(30)),  # d0 * d0 underflows to 0
+        (1e150, 1e-10),                 # each step is finite, the quotient is not
+    ])
+    def test_infinite_size_rejected(self, m0, d0):
+        with pytest.raises(ValueError, match="not a finite number"):
+            sample_size(m0, 5, 6, d0)
+
 
 class TestTable2:
     def test_k1_grid(self):

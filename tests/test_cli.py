@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -137,6 +138,9 @@ class TestSamplesize:
         (["--m0", "3.3", "--r", "1"], "r must be an integer >= 2"),
         (["--m0", "inf", "--r", "6"], "m0, nu, d0 must all be positive and finite"),
         (["--m0", "3.3", "--r", "6", "--k", "nan"], "k must lie in (0, 1]"),
+        (["--m0", "1e308", "--r", "6"], "the required sample size is not a finite number"),
+        (["--m0", "3.3", "--r", "6", "--k", "1e-300"],
+         "the required sample size is not a finite number"),
     ])
     def test_domain_errors_exit_1(self, capsys, argv, message):
         code, _, err = run_cli(capsys, "samplesize", *argv)
@@ -354,11 +358,68 @@ class TestSimulate:
         assert "did not fit in memory" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_params_exit_1(self, capsys, tmp_path):
+        depth = 100_000
+        params = '{"nu": ' + "[" * depth + "]" * depth + "}"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "vst_lof_calibration",
+                               "--out", str(tmp_path), "--params", params)
+        assert code == 1
+        assert err == "error: --params is nested too deeply\n"
+
+    def test_out_naming_a_file_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("the run started"))
+        out = tmp_path / "results.txt"
+        out.write_text("")
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
+                               "--reps", "1000", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and str(out / "table1_models") in err
+        assert len(err.splitlines()) == 1
+
+    def test_table1_n_capped(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("the run started"))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
+                               "--reps", "1000", "--out", str(tmp_path),
+                               "--params", '{"n": 100000000000000000000}')
+        assert code == 1
+        assert "n must be an integer from 1 to 10000000" in err
+        assert not (tmp_path / "table1_models").exists()
+
     def test_bad_params_json(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
                                "--params", "{not json")
         assert code == 1
         assert "error" in err
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):  # called once per build, by the top-level parser
+            built.append(1)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli.build_parser.cache_clear()
+        try:
+            for argv in (["evidence-lof", "--fixture", "die"],
+                         ["samplesize", "--m0", "3.3", "--r", "6"],
+                         ["evidence-equiv", "--fixture", "die", "-f", "json"]):
+                assert run_cli(capsys, *argv)[0] == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert built == [1]
+
+    def test_failed_parse_leaves_no_state(self, capsys):
+        argv = ["evidence-lof", "--fixture", "die", "-f", "json"]
+        alone = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["evidence-lof", "--fixture", "die", "-f", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == alone
 
 
 class TestUsageErrors:

@@ -59,12 +59,14 @@ class TestEvidenceForNormality:
             evidence_for_normality(data).evidence.t
 
     def test_edge_goes_to_right_cell(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal(400)
+        # the mean is exactly 0, so the middle edge xbar + s Phi^{-1}(1/2) is 0
+        # and the 20 zeros lie on it
+        data = np.tile([-2.0, -1.0, 0.0, 1.0, 2.0], 20)
         rep = evidence_for_normality(data)
-        shifted = np.concatenate([data, [rep.edges[4]]])  # exactly on an edge
-        rep2 = evidence_for_normality(shifted[:-1])  # unchanged data, sanity
-        assert rep2.s_stat == rep.s_stat
+        assert rep.edges[4] == 0.0
+        right = np.bincount(np.searchsorted(rep.edges, data, side="right"), minlength=rep.r)
+        assert np.array_equal(rep.counts, right)
+        assert rep.counts[5] >= 20
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from gofevid import __version__
 from gofevid.dist import ChiSqParams, RandomStream, count_pmf, sample_chisq, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
-from gofevid import sim
+from gofevid import pearson, sim
+from gofevid.boundary import least_divergent_point
 from gofevid.pearson import multinomial_power_mc, row_blocks
 from gofevid.sim import (
     PoissonCellSummary,
@@ -311,6 +312,7 @@ class TestGeneratorsPerBlock:
 
     @pytest.fixture
     def philox_builds(self, monkeypatch):
+        monkeypatch.setattr(pearson, "CHUNK_VALUES", 1 << 14)  # several blocks per case
         built = []
         philox = np.random.Philox
 
@@ -333,6 +335,21 @@ class TestGeneratorsPerBlock:
         probs = np.full(6, 1.0 / 6)
         multinomial_power_mc(RandomStream(1, 0), 100, probs, probs, 0.05, 6000)
         assert len(philox_builds) == len(row_blocks(0, 6000, 6)) == 3
+
+
+def test_results_independent_of_block_size(monkeypatch):
+    def run_all():
+        probs = np.full(6, 1.0 / 6)
+        return (run_normal_table(("normal", "t5"), (100, 400), reps=100, seed=3),
+                run_poisson_table((("poisson", 5), ("neg_binomial", 1, 0.01)), (100,),
+                                  reps=100, seed=3),
+                multinomial_power_mc(RandomStream(3, 0), 100, least_divergent_point(6, 0.15),
+                                     probs, 0.05, 1000))
+
+    default = run_all()
+    monkeypatch.setattr(pearson, "CHUNK_VALUES", 1 << 10)
+    assert len(row_blocks(0, 100, 400)) == 50
+    assert run_all() == default
 
 
 @pytest.mark.parametrize("scenario", sim.SCENARIOS)
