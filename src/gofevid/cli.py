@@ -24,7 +24,7 @@ from .evidence import (
 )
 from .pearson import CellData, pearson_stat
 from .model_fit import evidence_for_normality, evidence_for_poisson
-from .sim import SCENARIOS, SimConfig, run_scenario
+from .sim import SCENARIOS, SimConfig, clip_repr, run_scenario
 
 
 MAX_COUNT_VALUE = 1_000_000  # largest value an 'index,count' line may give
@@ -72,7 +72,7 @@ def _parse_counts(path: str) -> tuple[list[int], list[int]]:
             if cnt < 0:
                 raise ValueError("counts must be nonnegative")
             if cnt > MAX_COUNT:
-                raise ValueError(f"count {cnt} exceeds the limit 2**53")
+                raise ValueError(f"count {clip_repr(cnt)} exceeds the limit 2**53")
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if indexed is None:
@@ -97,7 +97,7 @@ def _parse_reals(path: str) -> np.ndarray:
         try:
             values.append(float(line))
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from exc
+            raise ParseError(f"{path}:{lineno}: not a number: {clip_repr(line)}") from exc
     if not values:
         raise ParseError(f"{path}: no data found")
     return np.asarray(values)
@@ -274,7 +274,8 @@ def cmd_fit_poisson(args) -> int:
     if values[0] < 0:
         raise ParseError("count-data indices must be nonnegative")
     if values[-1] > MAX_COUNT_VALUE:
-        raise ParseError(f"count-data index {values[-1]} exceeds the limit {MAX_COUNT_VALUE}")
+        raise ParseError(f"count-data index {clip_repr(values[-1])} exceeds the limit "
+                         f"{MAX_COUNT_VALUE}")
     table = np.zeros(values[-1] + 1, dtype=np.int64)  # dense frequency table on 0..max
     table[values] = counts
     report = evidence_for_poisson(table, k=args.k, bias_adjust=not args.no_bias_adjust)

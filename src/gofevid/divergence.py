@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .dist import ChiSqParams, check_probs
 from .evidence import EquivalenceParams
@@ -92,6 +92,8 @@ def J_noncentral(nu: float, lambdaA: float, lambdaB: float, epsabs: float = 1e-6
         raise ValueError("need nu > 0 and nonnegative noncentralities")
     if lambdaA == lambdaB:
         return 0.0
+    from scipy import integrate  # ~0.3 s to import; no pipeline or CLI command needs it
+
     pa = ChiSqParams(nu, lambdaA)
     pb = ChiSqParams(nu, lambdaB)
     hi = max(_support_bound(pa), _support_bound(pb))

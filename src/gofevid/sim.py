@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -116,7 +117,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; "
+            raise ValueError(f"unknown scenario {clip_repr(self.scenario)}; "
                              f"choose from {tuple(SCENARIOS)}")
         min_reps = MIN_POWER_REPS if self.scenario == "table1_models" else 100
         if self.reps < min_reps:
@@ -124,6 +125,17 @@ class SimConfig:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         _validate_params(self.scenario, self.params)
+
+
+_ECHO = reprlib.Repr()  # one level deep, a few short items: a few hundred characters at most
+_ECHO.maxlevel = 1
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 4
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+
+
+def clip_repr(value) -> str:
+    """repr(value), clipped so that an error message echoing input stays short."""
+    return _ECHO.repr(value)
 
 
 def _is_int(v) -> bool:
@@ -148,7 +160,7 @@ def _check_dist(dist) -> None:
                    and _is_real(dist[2]) and dist[2] >= 0))
           and _is_real(dist[1]) and dist[1] > 0)
     if not ok:
-        raise ValueError(f"bad dists entry {dist!r}: expected [\"poisson\", mu] or "
+        raise ValueError(f"bad dists entry {clip_repr(dist)}: expected [\"poisson\", mu] or "
                          "[\"neg_binomial\", mu, alpha] with mu > 0 and alpha >= 0")
     count_support(*dist)  # bounds the table width before anything is allocated
 
@@ -158,7 +170,8 @@ def _validate_params(scenario: str, params: dict) -> None:
         raise ValueError("params must be a JSON object")
     extra = set(params) - set(SCENARIOS[scenario][1])
     if extra:
-        raise ValueError(f"unknown parameters {sorted(extra)} for scenario {scenario!r}")
+        raise ValueError(f"unknown parameters {clip_repr(sorted(extra))} "
+                         f"for scenario {scenario!r}")
     for key in ("nu", "lambda0"):
         if key in params and not (_is_real(params[key]) and params[key] > 0):
             raise ValueError(f"{key} must be a positive number")
@@ -168,7 +181,7 @@ def _validate_params(scenario: str, params: dict) -> None:
     if "families" in params:
         bad = [f for f in _nonempty_list(params, "families") if f not in TABLE3_FAMILIES]
         if bad:
-            raise ValueError(f"unknown families {bad}; choose from {TABLE3_FAMILIES}")
+            raise ValueError(f"unknown families {clip_repr(bad)}; choose from {TABLE3_FAMILIES}")
     if "dists" in params:
         for dist in _nonempty_list(params, "dists"):
             _check_dist(dist)
@@ -364,6 +377,12 @@ def _rows_to_json(rows) -> str:
     return json.dumps([as_dict(r) for r in rows], sort_keys=True, indent=2) + "\n"
 
 
+def _write_new(path: Path, text: str) -> None:
+    # a new file: truncating an existing one costs several times as much on ext4
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
     """Run one scenario; optionally write CSV + JSON + manifest to out_dir."""
     t0 = time.perf_counter()
@@ -377,8 +396,8 @@ def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{config.scenario}.csv").write_text(_rows_to_csv(rows))
-        (out / f"{config.scenario}.json").write_text(_rows_to_json(rows))
+        _write_new(out / f"{config.scenario}.csv", _rows_to_csv(rows))
+        _write_new(out / f"{config.scenario}.json", _rows_to_json(rows))
         manifest = {
             "scenario": config.scenario,
             "seed": config.seed,
@@ -390,5 +409,5 @@ def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
             "versions": {"gofevid": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__},
         }
-        (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        _write_new(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return rows

@@ -231,6 +231,14 @@ class TestFitNormal:
         assert code == 1
         assert ":3:" in err
 
+    def test_long_bad_line_clipped(self, capsys, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("1.0\n" + "x" * 200_000 + "\n")
+        code, _, err = run_cli(capsys, "fit-normal", str(f))
+        assert code == 1
+        assert ":2: not a number: 'xxx" in err
+        assert len(err.splitlines()) == 1 and len(err) < 400
+
     def test_overflowing_scale_exits_1(self, capsys, tmp_path):
         f = tmp_path / "huge.txt"
         values = np.random.default_rng(5).standard_normal(200) * 1e307
@@ -384,6 +392,18 @@ class TestSimulate:
         assert code == 1
         assert "n must be an integer from 1 to 10000000" in err
         assert not (tmp_path / "table1_models").exists()
+
+    @pytest.mark.parametrize("params,message", [
+        ({"dists": [["p" * 100_000, 1]]}, "bad dists entry ['ppp"),
+        ({"k" * 50_000: 1}, "unknown parameters ['kkk"),
+    ])
+    def test_long_bad_params_clipped(self, capsys, tmp_path, params, message):
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "poisson_fit_table",
+                               "--reps", "100", "--out", str(tmp_path),
+                               "--params", json.dumps(params))
+        assert code == 1
+        assert message in err
+        assert len(err.splitlines()) == 1 and len(err) < 400
 
     def test_bad_params_json(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",

@@ -376,6 +376,26 @@ class TestRunScenario:
         assert (tmp_path / "a" / "manifest.json").exists()
         assert (tmp_path / "a" / "vst_equiv_calibration.json").exists()
 
+    def test_replaces_stale_files(self, tmp_path):
+        config = SimConfig(scenario="vst_lof_calibration", reps=200, seed=5,
+                           params={"lambda_grid": [0, 4]})
+        names = ("vst_lof_calibration.csv", "vst_lof_calibration.json", "manifest.json")
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        for name in names:
+            (stale / name).write_text("stale\n" * 1000)  # longer than any result
+        fresh = tmp_path / "fresh"
+        with open(stale / names[0], "rb") as held:
+            run_scenario(config, out_dir=stale)
+            run_scenario(config, out_dir=fresh)
+            for name in names[:2]:
+                assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+            manifests = [json.loads((d / names[2]).read_text()) for d in (stale, fresh)]
+            for m in manifests:
+                del m["elapsed_s"]  # the only field that differs between two runs
+            assert manifests[0] == manifests[1]
+            assert held.read() == b"stale\n" * 1000  # an open reader keeps the old bytes
+
     def test_csv_has_expected_rows(self, tmp_path):
         config = SimConfig(scenario="vst_lof_calibration", reps=200, seed=5,
                            params={"nu": 1.0, "lambda_grid": [0, 1, 2, 3]})
