@@ -4,9 +4,11 @@ streams and the probability-vector check.
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 ``chndtrix``.  Random streams are counter-based (Philox keyed by
 (seed, stream_id)), so substreams are cheap and order-independent.  A block
-of table replications re-keys one generator per block
-(``RandomStream.substream_draws``) instead of building one per replication;
-each replication still draws exactly its own substream's sequence.
+of table replications shares one generator (``RandomStream.substream_draws``)
+instead of building one per replication: the block's substream keys come
+from one uint64-array mix, and before each replication the generator is set
+to that key's fresh state through a dict of plain ints, so each replication
+still draws exactly its own substream's sequence.
 ``sample_chisq`` draws a noncentral chi-squared with nu >= 1 as a shifted
 normal squared plus a central remainder (stream layout 3).
 """
@@ -44,6 +46,22 @@ def _mix64(a: int, b: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _mix64_range(a: int, lo: int, hi: int) -> list[int]:
+    """``[_mix64(a, b) for b in range(lo, hi)]`` in uint64 arithmetic.
+
+    uint64 array operations wrap modulo 2**64, which is what the masks in
+    ``_mix64`` do, so every step is the same map.
+    """
+    z = np.arange(hi - lo, dtype=np.uint64)
+    z += np.uint64((a * 0x9E3779B97F4A7C15 + lo + 0x632BE59BD9B4E019) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.tolist()
+
+
 class RandomStream:
     """A reproducible random source identified by (seed, stream_id).
 
@@ -79,20 +97,25 @@ class RandomStream:
 
         One Philox serves the whole range: before each index it is given the
         state a fresh generator keyed by that substream starts in (counter 0,
-        empty buffer), which makes its stream identical to the fresh one's.
-        The generator belongs to this call alone.
+        empty buffer, no cached 32-bit half), which makes its stream
+        identical to the fresh one's.  That state is one dict of plain
+        Python ints whose key word is overwritten per index, because the
+        ``state`` setter converts Python ints much faster than numpy
+        scalars; the keys of the whole range come from one array mix.  The
+        generator belongs to this call alone.
         """
         bit_gen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
-        state = bit_gen.state  # counter 0, buffer empty, no cached 32-bit half
         gen = np.random.Generator(bit_gen)
-
-        def one(i):
-            state["state"]["key"] = np.array([self.seed, _mix64(self.stream_id, i)],
-                                             dtype=np.uint64)
+        state = bit_gen.state  # counter 0, buffer empty, no cached 32-bit half
+        key = [self.seed, 0]
+        state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
+        state["buffer"] = state["buffer"].tolist()
+        rows = []
+        for k in _mix64_range(self.stream_id, lo, hi):
+            key[1] = k
             bit_gen.state = state
-            return draw(gen)
-
-        return np.stack([one(i) for i in range(lo, hi)])
+            rows.append(draw(gen))
+        return np.stack(rows)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

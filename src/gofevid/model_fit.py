@@ -224,8 +224,20 @@ class UndefinedFit(ValueError):
 def _tail_cells(n: int, mu: np.ndarray):
     """Tail-cell combining for each mu at sample size n.
 
-    Returns (r0, r, cdf): per row the combined-cell layout described in
-    ``combine_cells_poisson`` and the Poisson CDF on 0, 1, ... at that mu.
+    Returns (r0, r, lo, cdf): per row the combined-cell layout described in
+    ``combine_cells_poisson``, and the Poisson CDF at that mu on the columns
+    the layouts use, ``cdf[:, j] = P(X <= lo + j)``.
+
+    P(X <= k) falls as mu rises, so the first and last combined cells move
+    right as mu rises: the rows with the smallest and largest mu bracket every
+    row's cells.  With more than two rows, those two rows are evaluated on
+    every column and all rows on the window from the column before the lowest
+    first cell to the column after the highest last cell.  The window is kept
+    only if every row expects fewer than 5 at or below its left edge column
+    and above its right one, which is what makes the window's boundaries
+    those of the full range; otherwise (rounding can break the monotonicity)
+    the window widens to the full range.  A one-row call evaluates the full
+    range once.
     """
     if n < 10:
         raise ValueError(f"n = {n} is too small to form cells with expected count >= 5")
@@ -235,17 +247,40 @@ def _tail_cells(n: int, mu: np.ndarray):
         if not short.any():
             break
         kmax[short] *= 2
-    cdf = special.pdtr(np.arange(kmax.max() + 1), mu[:, None])
+    top = int(kmax.max())
+    windows = [(0, top)]  # cdf columns lo..hi; the full range passes the edge test
+    if len(mu) > 2:  # the bracket rows' window goes first
+        ends = special.pdtr(np.arange(top + 1), mu[[mu.argmin(), mu.argmax()], None])
+        first, last = _cell_bounds(n, ends, 0, top)
+        lo = max(int(first[0]), 0)
+        windows.insert(0, (lo, max(min(int(last[1]) + 1, top), lo)))
+    for lo, hi in windows:
+        cdf = special.pdtr(np.arange(lo, hi + 1), mu[:, None])
+        # at an edge column every row must have P(X <= lo) < 5/n and P(X > hi) < 5/n
+        if ((lo == 0 or np.all(n * cdf[:, 0] < _MIN_EXPECTED))
+                and (hi == top or np.all(n * (1.0 - cdf[:, -1]) < _MIN_EXPECTED))):
+            break
+    r0, last = _cell_bounds(n, cdf, lo, top)
+    return r0, last + 1 - r0, lo, cdf
+
+
+def _cell_bounds(n: int, cdf: np.ndarray, lo: int, top: int):
+    """(r0, last) per row of a CDF on columns lo, lo + 1, ... of 0..top.
+
+    The first combined cell is {X <= r0 + 1}, the first column with expected
+    count >= 5; the last is {X >= last + 1}, last the final column below top
+    with P(X > last) expecting >= 5, or -1 when there is none.
+    """
     # n >= 10 and n (1 - cdf[kmax - 1]) < 5 give n cdf[kmax - 1] > 5: every row has a left cell
-    r0 = (n * cdf >= _MIN_EXPECTED).argmax(axis=1) - 1  # first combined cell is {X <= r0 + 1}
-    sf = 1.0 - cdf[:, :-1]  # sf[:, k - 1] = P(X >= k) for k >= 1
+    r0 = lo + (n * cdf >= _MIN_EXPECTED).argmax(axis=1) - 1
+    sf = 1.0 - cdf[:, : top - lo]  # sf[:, j] = P(X > lo + j) for lo + j < top
     hi_ok = n * sf >= _MIN_EXPECTED
-    hi = np.where(hi_ok.any(axis=1), sf.shape[1] - hi_ok[:, ::-1].argmax(axis=1), 0)
-    return r0, hi - r0, cdf
+    last = np.where(hi_ok.any(axis=1), lo + sf.shape[1] - 1 - hi_ok[:, ::-1].argmax(axis=1), -1)
+    return r0, last
 
 
 def _cell_probs(cdf: np.ndarray, r0: int, r: int) -> np.ndarray:
-    """Combined-cell probabilities, one row per CDF row."""
+    """Combined-cell probabilities, one row per CDF row; r0 counts from cdf's first column."""
     probs = np.empty((len(cdf), r))
     probs[:, 0] = cdf[:, r0 + 1]
     probs[:, 1 : r - 1] = np.diff(cdf[:, r0 + 1 : r0 + r], axis=1)
@@ -273,11 +308,11 @@ def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    r0, r, cdf = _tail_cells(n, np.array([float(mu)]))
+    r0, r, lo, cdf = _tail_cells(n, np.array([float(mu)]))
     r0, r = int(r0[0]), int(r[0])
     if r < 2:
         raise ValueError(f"n = {n} is too small for mu = {mu}: fewer than 2 cells remain")
-    return r0, r, _cell_probs(cdf, r0, r)[0]
+    return r0, r, _cell_probs(cdf, r0 - lo, r)[0]
 
 
 def _poisson_groups(tables: np.ndarray):
@@ -294,7 +329,7 @@ def _poisson_groups(tables: np.ndarray):
     if n < 1:
         raise ValueError("need at least one observation")
     mu = _mle_rows(tables)
-    r0, r, cdf = _tail_cells(n, np.where(mu > 0, mu, 1.0))  # mu_hat = 0 rows are rejected below
+    r0, r, lo, cdf = _tail_cells(n, np.where(mu > 0, mu, 1.0))  # mu_hat = 0 rows are rejected below
     undefined = np.flatnonzero((mu == 0) | (r < 3))
     if len(undefined):
         i = int(undefined[0])
@@ -306,7 +341,7 @@ def _poisson_groups(tables: np.ndarray):
     groups = []
     for g_r0, g_r in sorted(set(zip(r0.tolist(), r.tolist()))):
         rows = np.flatnonzero((r0 == g_r0) & (r == g_r))
-        groups.append((rows, g_r0, g_r, _cell_probs(cdf[rows], g_r0, g_r),
+        groups.append((rows, g_r0, g_r, _cell_probs(cdf[rows], g_r0 - lo, g_r),
                        _fold_counts(tables[rows], g_r0, g_r)))
     return n, mu, groups
 

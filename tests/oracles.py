@@ -5,7 +5,9 @@ gamma here is a hand-rolled series / continued fraction, the normal CDF goes
 through math.erfc, the evidence transforms are written out again from the
 paper's definitions, moments under chi2(nu, lam) are Gauss-Legendre
 quadrature against scipy.stats densities, and the divergence oracle is plain
-trapezoid summation on a fine fixed grid.
+trapezoid summation on a fine fixed grid.  The Poisson tail-cell layout is
+the full-width evaluation the library's bracketed window must reproduce
+byte for byte, so it shares the library's ``pdtr`` values on purpose.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 _EPS = 1e-15
 _MAX_ITER = 10_000
@@ -189,3 +191,25 @@ def uniform_sphere_simplex(rng: np.random.Generator, r: int, radius: float,
         out[got : got + take] = pts[:take]
         got += take
     return out
+
+
+def poisson_tail_cells(n: int, mu: np.ndarray):
+    """(r0, r, cdf): tail-cell layout of each mu from the full-width CDF.
+
+    ``cdf[:, k] = P(X <= k)`` on every column 0..max kmax, where each row's
+    kmax starts at mu + 12 sqrt(mu) + 30 and doubles until the upper tail
+    beyond it expects fewer than 5.  The first combined cell is
+    {X <= r0 + 1}, the first with expected count >= 5, and the last
+    {X >= r0 + r}, the last such cell from above.
+    """
+    kmax = (mu + 12.0 * np.sqrt(mu) + 30.0).astype(np.int64)
+    while True:
+        short = n * (1.0 - special.pdtr(kmax - 1, mu)) >= 5.0
+        if not short.any():
+            break
+        kmax[short] *= 2
+    cdf = special.pdtr(np.arange(kmax.max() + 1), mu[:, None])
+    r0 = (n * cdf >= 5.0).argmax(axis=1) - 1
+    hi_ok = n * (1.0 - cdf[:, :-1]) >= 5.0
+    hi = np.where(hi_ok.any(axis=1), hi_ok.shape[1] - hi_ok[:, ::-1].argmax(axis=1), 0)
+    return r0, hi - r0, cdf

@@ -6,6 +6,8 @@ from scipy import special, stats
 
 import oracles
 from gofevid.dist import (
+    _mix64,
+    _mix64_range,
     MAX_COUNT_CELLS,
     ChiSqParams,
     RandomStream,
@@ -197,6 +199,22 @@ class TestSubstreamDraws:
         stream = RandomStream(seed, stream_id)
         got = stream.substream_draws(lo, hi, self.DRAWS[name])
         want = _fresh_draws(RandomStream(seed, stream_id), lo, hi, self.DRAWS[name])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lo,hi", [(2**63 - 3, 2**63 + 3), (2**64 - 3, 2**64), (0, 5)])
+    def test_array_key_mix_matches_scalar_mix_at_uint64_edges(self, lo, hi):
+        for stream_id in (0, 2**63, 2**64 - 1):
+            assert _mix64_range(stream_id, lo, hi) == [_mix64(stream_id, i) for i in range(lo, hi)]
+
+    @pytest.mark.parametrize("lo,hi,draw", [
+        (0, 1000, lambda g: g.multinomial(100, [0.1, 0.2, 0.3, 0.4])),
+        (7, 17, lambda g: g.standard_t(5.0, size=6400)),
+    ], ids=["multinomial_1000_rows", "standard_t_10_rows_of_6400"])
+    def test_table_sized_blocks_match_fresh_generators(self, lo, hi, draw):
+        stream = RandomStream(17, 2**64 - 1)
+        got = stream.substream_draws(lo, hi, draw)
+        want = _fresh_draws(RandomStream(17, 2**64 - 1), lo, hi, draw)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 

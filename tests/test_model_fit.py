@@ -1,9 +1,14 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
+import oracles
+from gofevid import model_fit
 from gofevid.dist import RandomStream, count_pmf
 from gofevid.evidence import EquivalenceParams, equiv_transform
 from gofevid.fixtures import ALPHA_EMISSIONS_COUNTS
@@ -136,6 +141,97 @@ class TestCombineCells:
             combine_cells_poisson(8, 1.0)
         with pytest.raises(ValueError):
             combine_cells_poisson(10, 1.0)  # only one cell can reach expectation 5
+
+
+def _tail_cells_traced(n: int, mu, swap_bracket: bool = False, force_doubling: bool = False):
+    """model_fit._tail_cells plus the shape of every 2-d ``pdtr`` call it made.
+
+    ``swap_bracket`` evaluates the two bracket rows at each other's mu, which
+    gives a window that is too narrow whenever their layouts differ.
+    ``force_doubling`` halves the CDF the first kmax test sees, so every row
+    doubles its kmax once; in float64 1 - pdtr(kmax - 1, mu) rounds to 0 for
+    every mu tried from 1e-3 to 1e7, so no real batch was seen to reach it.
+    """
+    shapes = []
+    swap = swap_bracket and len(mu) > 2  # the first 2-d call is then the bracket
+    halve = force_doubling
+
+    def pdtr(k, m):
+        nonlocal swap, halve
+        if np.ndim(m) == 1:  # the kmax test
+            scale, halve = (0.5 if halve else 1.0), False
+            return special.pdtr(k, m) * scale
+        shapes.append(np.broadcast(k, m).shape)
+        if swap:
+            m, swap = m[::-1], False
+        return special.pdtr(k, m)
+
+    with mock.patch.object(model_fit, "special", SimpleNamespace(pdtr=pdtr)):
+        return model_fit._tail_cells(n, np.asarray(mu, dtype=float)), shapes
+
+
+def _assert_tail_cells_match_full(n: int, mu, swap_bracket=False, force_doubling=False):
+    """The windowed layout against the full-width reference, byte for byte.
+
+    Returns (reference, lo, cdf, shapes) for checks on the path taken.
+    """
+    mu = np.asarray(mu, dtype=float)
+    want_r0, want_r, full = want = oracles.poisson_tail_cells(n, mu)
+    (r0, r, lo, cdf), shapes = _tail_cells_traced(n, mu, swap_bracket, force_doubling)
+    assert r0.tolist() == want_r0.tolist()
+    assert r.tolist() == want_r.tolist()
+    width = min(cdf.shape[1], full.shape[1] - lo)  # a doubled kmax reaches past the reference
+    assert cdf[:, :width].tobytes() == full[:, lo : lo + width].tobytes()
+    for i in np.flatnonzero(want_r >= 2):
+        got = model_fit._cell_probs(cdf[i : i + 1], int(r0[i]) - lo, int(r[i]))
+        ref = model_fit._cell_probs(full[i : i + 1], int(want_r0[i]), int(want_r[i]))
+        assert got.tobytes() == ref.tobytes()
+    return want, lo, cdf, shapes
+
+
+_TAIL_NS = st.sampled_from([10, 11, 30, 100, 400, 1600, 6400, 10**6])
+_SPREAD_MUS = st.lists(st.floats(1e-3, 600.0), min_size=1, max_size=30)
+_CLUSTERED_MUS = st.builds(lambda c, jitter: [c * (1.0 + 0.05 * j) for j in jitter],
+                           st.floats(1e-3, 600.0),
+                           st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30))
+
+
+class TestTailCellWindow:
+    """The bracketed CDF window gives the layout of the full-width CDF."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_TAIL_NS, st.one_of(_SPREAD_MUS, _CLUSTERED_MUS), st.booleans(), st.booleans())
+    def test_matches_full_width(self, n, mu, swap_bracket, force_doubling):
+        _assert_tail_cells_match_full(n, mu, swap_bracket, force_doubling)
+
+    def test_single_row_evaluates_the_full_range_once(self):
+        (_, _, full), lo, _, shapes = _assert_tail_cells_match_full(1207, [8.367])
+        assert lo == 0 and shapes == [full.shape]  # no bracket rows, no second pass
+
+    def test_rows_with_first_cell_at_zero(self):
+        (r0, _, _), _, _, _ = _assert_tail_cells_match_full(400, [0.5, 1.0, 2.0, 8.0, 30.0])
+        assert (r0 == -1).any() and (r0 >= 0).any()
+
+    def test_doubled_kmax(self):
+        (_, _, full), _, _, shapes = _assert_tail_cells_match_full(
+            400, [1.0, 5.0, 50.0, 300.0], force_doubling=True)
+        assert shapes[0][1] > full.shape[1]  # the bracket rows span the doubled range
+
+    def test_wide_spread(self):
+        (_, r, _), _, _, _ = _assert_tail_cells_match_full(1600, np.geomspace(0.01, 500.0, 25))
+        assert len(set(r.tolist())) > 10
+
+    def test_window_is_narrower_than_the_full_range(self):
+        mu = np.random.default_rng(3).poisson(20.0, size=(50, 400)).mean(axis=1)
+        (_, _, full), lo, cdf, shapes = _assert_tail_cells_match_full(400, mu)
+        assert lo > 0 and cdf.shape[1] < full.shape[1] / 2
+        assert shapes == [(2, full.shape[1]), cdf.shape]
+
+    def test_failed_bracket_widens_to_the_full_range(self):
+        (_, _, full), lo, cdf, shapes = _assert_tail_cells_match_full(
+            400, [20.0, 25.0, 30.0, 40.0], swap_bracket=True)
+        assert lo == 0 and cdf.shape == full.shape
+        assert len(shapes) == 3 and shapes[1][1] < full.shape[1]
 
 
 class TestEvidenceForPoisson:
