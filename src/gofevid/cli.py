@@ -383,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="results directory (default: results/, or GOFEVID_RESULTS_DIR)")
     p.add_argument("--workers", type=int, default=1,
                    help="threads for the calibration grid points, capped at the grid points "
-                        "and the usable CPUs; the tables run on one thread (their "
-                        "per-replication loop holds the GIL); output is identical for any value")
+                        "and the usable CPUs; the tables run on one thread (each cell is "
+                        "one sequence of draws from one stream); output is identical for "
+                        "any value")
     p.add_argument("--params", help="scenario parameters as a JSON object")
     p.set_defaults(fn=cmd_simulate)
 

@@ -3,12 +3,9 @@ streams and the probability-vector check.
 
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 ``chndtrix``.  Random streams are counter-based (Philox keyed by
-(seed, stream_id)), so substreams are cheap and order-independent.  A block
-of table replications shares one generator (``RandomStream.substream_draws``)
-instead of building one per replication: the block's substream keys come
-from one uint64-array mix, and before each replication the generator is set
-to that key's fresh state through a dict of plain ints, so each replication
-still draws exactly its own substream's sequence.
+(seed, stream_id)), so distinct ids give independent streams whatever the
+order in which they are drawn.  A fit-table cell draws all its replications
+from its own stream, row after row (stream layout 4).
 ``sample_chisq`` draws a noncentral chi-squared with nu >= 1 as a shifted
 normal squared plus a central remainder (stream layout 3).
 """
@@ -38,36 +35,12 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(a: int, b: int) -> int:
-    """Deterministic 64-bit mix of two ids (splitmix64 finalizer)."""
-    z = (a * 0x9E3779B97F4A7C15 + b + 0x632BE59BD9B4E019) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def _mix64_range(a: int, lo: int, hi: int) -> list[int]:
-    """``[_mix64(a, b) for b in range(lo, hi)]`` in uint64 arithmetic.
-
-    uint64 array operations wrap modulo 2**64, which is what the masks in
-    ``_mix64`` do, so every step is the same map.
-    """
-    z = np.arange(hi - lo, dtype=np.uint64)
-    z += np.uint64((a * 0x9E3779B97F4A7C15 + lo + 0x632BE59BD9B4E019) & _MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z.tolist()
-
-
 class RandomStream:
     """A reproducible random source identified by (seed, stream_id).
 
     Distinct stream_ids under one seed give statistically independent
     sequences.  A stream is single-owner: do not share one instance between
-    threads; give each work unit its own substream instead.
+    threads; give each work unit its own stream_id instead.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")
@@ -87,35 +60,6 @@ class RandomStream:
             key = np.array([self.seed, self.stream_id], dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
-
-    def substream(self, index: int) -> "RandomStream":
-        """Child stream for work unit `index`; independent of drawing order."""
-        return RandomStream(self.seed, _mix64(self.stream_id, int(index)))
-
-    def substream_draws(self, lo: int, hi: int, draw) -> np.ndarray:
-        """``np.stack([draw(self.substream(i).gen) for i in range(lo, hi)])``.
-
-        One Philox serves the whole range: before each index it is given the
-        state a fresh generator keyed by that substream starts in (counter 0,
-        empty buffer, no cached 32-bit half), which makes its stream
-        identical to the fresh one's.  That state is one dict of plain
-        Python ints whose key word is overwritten per index, because the
-        ``state`` setter converts Python ints much faster than numpy
-        scalars; the keys of the whole range come from one array mix.  The
-        generator belongs to this call alone.
-        """
-        bit_gen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
-        gen = np.random.Generator(bit_gen)
-        state = bit_gen.state  # counter 0, buffer empty, no cached 32-bit half
-        key = [self.seed, 0]
-        state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
-        state["buffer"] = state["buffer"].tolist()
-        rows = []
-        for k in _mix64_range(self.stream_id, lo, hi):
-            key[1] = k
-            bit_gen.state = state
-            rows.append(draw(gen))
-        return np.stack(rows)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -133,12 +133,13 @@ def _normal_cells(x: np.ndarray):
     n = x.shape[1]
     if n < 100:
         raise ValueError("need n >= 100 observations")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = x.mean(axis=1, keepdims=True)
-        s = x.std(axis=1, keepdims=True)  # maximum likelihood scale (divisor n)
+        dev = x - xbar  # the scale takes x.std's steps from this mean: the same bits
+        s = np.sqrt(np.square(dev, out=dev).sum(axis=1, keepdims=True) / n)  # MLE, divisor n
     if not (np.all(np.isfinite(xbar)) and np.all(np.isfinite(s))):
+        if not np.all(np.isfinite(x)):  # an infinite or NaN value leaves the mean non-finite
+            raise ValueError("data must be finite")
         raise ValueError("data too large in magnitude: the sample mean or the MLE scale "
                          "overflows float64")
     if np.any(s == 0.0):
@@ -149,8 +150,9 @@ def _normal_cells(x: np.ndarray):
     # is n and column r is 0, so adjacent differences are the cell counts
     at_or_above = np.zeros((len(x), r + 1), dtype=np.intp)
     at_or_above[:, 0] = n
+    count = np.int32 if n < 2**31 else np.intp  # summing into int32 takes half the time
     for j in range(r - 1):
-        at_or_above[:, j + 1] = np.count_nonzero(x >= edges[:, j : j + 1], axis=1)
+        at_or_above[:, j + 1] = (x >= edges[:, j : j + 1]).sum(axis=1, dtype=count)
     return edges, at_or_above[:, :-1] - at_or_above[:, 1:]
 
 
@@ -241,13 +243,10 @@ def _tail_cells(n: int, mu: np.ndarray):
     """
     if n < 10:
         raise ValueError(f"n = {n} is too small to form cells with expected count >= 5")
-    kmax = (mu + 12.0 * np.sqrt(mu) + 30.0).astype(np.int64)
-    while True:  # widen until the upper tail beyond kmax expects fewer than 5
-        short = n * (1.0 - special.pdtr(kmax - 1, mu)) >= _MIN_EXPECTED
-        if not short.any():
-            break
-        kmax[short] *= 2
-    top = int(kmax.max())
+    # kmax = mu + 12 sqrt(mu) + 30 leaves P(X >= kmax) below 5 / 2**53 for every
+    # mu from 1e-3 to 1e6 (a test guards this), so no count total that float64
+    # holds exactly expects 5 at or beyond the largest row's kmax
+    top = int(mu.max() + 12.0 * math.sqrt(mu.max()) + 30.0)
     windows = [(0, top)]  # cdf columns lo..hi; the full range passes the edge test
     if len(mu) > 2:  # the bracket rows' window goes first
         ends = special.pdtr(np.arange(top + 1), mu[[mu.argmin(), mu.argmax()], None])
@@ -271,7 +270,7 @@ def _cell_bounds(n: int, cdf: np.ndarray, lo: int, top: int):
     count >= 5; the last is {X >= last + 1}, last the final column below top
     with P(X > last) expecting >= 5, or -1 when there is none.
     """
-    # n >= 10 and n (1 - cdf[kmax - 1]) < 5 give n cdf[kmax - 1] > 5: every row has a left cell
+    # n >= 10 and n (1 - cdf[top - 1]) < 5 give n cdf[top - 1] > 5: every row has a left cell
     r0 = lo + (n * cdf >= _MIN_EXPECTED).argmax(axis=1) - 1
     sf = 1.0 - cdf[:, : top - lo]  # sf[:, j] = P(X > lo + j) for lo + j < top
     hi_ok = n * sf >= _MIN_EXPECTED

@@ -154,8 +154,9 @@ def multinomial_power_mc(
 ) -> PowerEstimate:
     """Monte Carlo power of the level-alpha chi-squared test under true_probs.
 
-    Each replication draws from its own substream, so the estimate is
-    independent of how the replications are blocked.
+    Replication i is row i of one (reps, r) multinomial draw from the
+    stream's generator, made in blocks of rows, so the estimate is
+    independent of how the replications are blocked (stream layout 4).
     """
     if reps < MIN_POWER_REPS:
         raise ValueError(f"reps must be at least {MIN_POWER_REPS}")
@@ -168,9 +169,10 @@ def multinomial_power_mc(
     r = len(null_probs)
     c = chisq_quantile(1.0 - alpha, ChiSqParams(r - 1, 0.0))
 
+    gen = stream.gen
     hits = 0
     for a, b in row_blocks(0, reps, r):
-        counts = stream.substream_draws(a, b, lambda g: g.multinomial(n, true_probs))
+        counts = gen.multinomial(n, true_probs, size=b - a)
         hits += int(np.count_nonzero(_pearson(counts, null_probs) >= c))
     p = hits / reps
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / reps)

@@ -1,11 +1,11 @@
 """Deterministic Monte Carlo harness for the calibration studies.
 
-Every scenario is reproducible from (config, seed): each grid point or table
-cell owns the substream derived from its position, and within table cells
-each replication owns a further substream.  Only the calibration grid points
-run on threads; the tables loop over replications in Python, which holds the
-GIL, so they run in the calling thread.  Output is byte-identical for any
-worker count.
+Every scenario is reproducible from (config, seed): each grid point, table
+cell or Table 1 row draws from the stream keyed by its position,
+``RandomStream(seed, index)``.  Only the calibration grid points run on
+threads; a table cell is one sequence of draws from one stream, so the
+tables run in the calling thread.  Output is byte-identical for any worker
+count.
 
 A calibration grid point draws its replications from its own stream in blocks
 of VST_BLOCK (``dist.sample_chisq``: for nu >= 1 the block's standard normals,
@@ -14,11 +14,12 @@ memory is bounded for any reps.  That is stream layout 3; layout 2 drew all
 reps at once from the Poisson mixture.
 
 The fit tables stack their replications into rows and fit a block of rows at
-once; one generator per block, re-keyed for each replication
-(``RandomStream.substream_draws``), draws every row of the block exactly as
-the replication's own substream would.  A normal-table replication draws its
-n values.  A count-table replication draws its frequency table directly, as
-one Multinomial(n, pmf) draw over the law's support (``dist.count_pmf``): the
+once.  Replication i of a cell is row i of the cell's stream, and each block
+of rows is one draw of shape (rows, width) from it, so the results do not
+depend on the block size (stream layout 4; up to layout 3 each replication
+drew from its own substream).  A normal-table replication draws its n values.
+A count-table replication draws its frequency table directly, as one
+Multinomial(n, pmf) row over the law's support (``dist.count_pmf``): the
 frequency table of n iid draws has exactly that law (since stream layout 2;
 layout 1 drew the n values and counted them).
 """
@@ -73,8 +74,9 @@ TABLE_N_LIST = (100, 400, 1600, 6400)
 MAX_TABLE_N = 10_000_000  # largest sample size a fit-table cell or table1_models accepts
 # 2: count-table replications draw their frequency table as one multinomial;
 # 3: a calibration grid point draws chi2(nu, lam), nu >= 1, as a shifted normal
-#    squared plus a central remainder, in blocks of VST_BLOCK replications
-STREAM_LAYOUT = 3
+#    squared plus a central remainder, in blocks of VST_BLOCK replications;
+# 4: replication i of a fit-table cell or Table 1 row is row i of its stream
+STREAM_LAYOUT = 4
 VST_BLOCK = 2**16  # replications a calibration grid point draws and transforms at once
 
 
@@ -272,11 +274,10 @@ def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 
     def unit(idx, family, n):
         name, params = TABLE3[family]
         sampler = FAMILIES[name]
-        cell_stream = RandomStream(seed, idx)
+        gen = RandomStream(seed, idx).gen
         ts = np.empty(reps)
         for lo, hi in row_blocks(0, reps, n):
-            data = cell_stream.substream_draws(lo, hi, lambda g: sampler(g, n, **params))
-            ts[lo:hi] = normality_evidence_rows(data)
+            ts[lo:hi] = normality_evidence_rows(sampler(gen, (hi - lo, n), **params))
         return _summarize((family, n), ts)
 
     return [unit(idx, *cell) for idx, cell in enumerate(cells)]
@@ -293,13 +294,13 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
     cells = [(tuple(dist), int(n)) for dist in dists for n in n_list]
 
     def unit(idx, dist, n):
-        cell_stream = RandomStream(seed, idx)
+        gen = RandomStream(seed, idx).gen
         pmf = count_pmf(*dist)
         ts = np.empty(reps)
         rs = np.empty(reps)
         m0s = np.empty(reps)
         for lo, hi in row_blocks(0, reps, len(pmf)):
-            tables = cell_stream.substream_draws(lo, hi, lambda g: g.multinomial(n, pmf))
+            tables = gen.multinomial(n, pmf, size=hi - lo)
             try:
                 _, rs[lo:hi], m0s[lo:hi], ts[lo:hi] = poisson_evidence_rows(tables)
             except UndefinedFit as exc:

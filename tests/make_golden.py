@@ -6,7 +6,8 @@ repository root, with
 
     PYTHONPATH=src python tests/make_golden.py
 
-and lists the moved digests, with the reason, in CHANGES.md.  The file records
+which prints the names of the digests that moved against the file it
+replaces; list them, with the reason, in CHANGES.md.  The file records
 the stream layout and the numpy and scipy versions it was made under:
 generator streams are not promised across numpy versions.
 """
@@ -74,6 +75,20 @@ def digests() -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs().items()}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """Names of the outputs whose digest differs between two golden records,
+    including outputs that only one of them has."""
+    a, b = old.get("digests", {}), new["digests"]
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({**versions(), "digests": digests()}, indent=2) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {**versions(), "digests": digests()}
+    GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
+    for key in versions():
+        if old.get(key) != new[key]:
+            print(f"{key}: {old.get(key)} -> {new[key]}")
+    names = moved(old, new)
+    print(f"{len(names)} of {len(new['digests'])} digests moved" + "".join(f"\n  {n}" for n in names))

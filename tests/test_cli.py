@@ -294,7 +294,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mu,cause", [
         (0.001, "every observed value is 0, so mu_hat = 0"),
-        (0.05, "tail-cell combining left r = 2 cells"),
+        (0.05, "tail-cell combining left r = 1 cells at mu_hat = 0.01"),
     ])
     def test_undefined_poisson_fit_names_replication(self, capsys, tmp_path, mu, cause):
         params = json.dumps({"dists": [["poisson", mu]], "n_list": [100]})

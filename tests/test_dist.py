@@ -6,8 +6,6 @@ from scipy import special, stats
 
 import oracles
 from gofevid.dist import (
-    _mix64,
-    _mix64_range,
     MAX_COUNT_CELLS,
     ChiSqParams,
     RandomStream,
@@ -164,80 +162,11 @@ class TestRandomStream:
             RandomStream(9, sid).gen.standard_normal(5)
         assert np.array_equal(a.gen.standard_normal(8), want)
 
-    def test_substream_deterministic_and_distinct(self):
-        s = RandomStream(4, 2)
-        c1 = s.substream(5)
-        c2 = RandomStream(4, 2).substream(5)
-        assert (c1.seed, c1.stream_id) == (c2.seed, c2.stream_id)
-        assert c1.stream_id != s.stream_id
-        assert s.substream(6).stream_id != c1.stream_id
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomStream(-1)
         with pytest.raises(ValueError):
             RandomStream(0, 2**64)
-
-
-def _fresh_draws(stream, lo, hi, draw):
-    """The reference substream_draws must reproduce: one new generator per index."""
-    return np.stack([draw(stream.substream(i).gen) for i in range(lo, hi)])
-
-
-class TestSubstreamDraws:
-    DRAWS = {
-        "normal": lambda g: g.normal(size=7),
-        "standard_t": lambda g: g.standard_t(5.0, size=7),
-        "multinomial": lambda g: g.multinomial(50, [0.2, 0.3, 0.5]),
-        # an odd number of 32-bit draws leaves half a 64-bit word cached (has_uint32)
-        "int32": lambda g: g.integers(0, 1000, size=5, dtype=np.int32),
-    }
-
-    @pytest.mark.parametrize("name", DRAWS)
-    @pytest.mark.parametrize("seed,stream_id,lo,hi", [(3, 7, 0, 4), (2**64 - 1, 11, 5, 9)])
-    def test_matches_fresh_generators_byte_for_byte(self, name, seed, stream_id, lo, hi):
-        stream = RandomStream(seed, stream_id)
-        got = stream.substream_draws(lo, hi, self.DRAWS[name])
-        want = _fresh_draws(RandomStream(seed, stream_id), lo, hi, self.DRAWS[name])
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("lo,hi", [(2**63 - 3, 2**63 + 3), (2**64 - 3, 2**64), (0, 5)])
-    def test_array_key_mix_matches_scalar_mix_at_uint64_edges(self, lo, hi):
-        for stream_id in (0, 2**63, 2**64 - 1):
-            assert _mix64_range(stream_id, lo, hi) == [_mix64(stream_id, i) for i in range(lo, hi)]
-
-    @pytest.mark.parametrize("lo,hi,draw", [
-        (0, 1000, lambda g: g.multinomial(100, [0.1, 0.2, 0.3, 0.4])),
-        (7, 17, lambda g: g.standard_t(5.0, size=6400)),
-    ], ids=["multinomial_1000_rows", "standard_t_10_rows_of_6400"])
-    def test_table_sized_blocks_match_fresh_generators(self, lo, hi, draw):
-        stream = RandomStream(17, 2**64 - 1)
-        got = stream.substream_draws(lo, hi, draw)
-        want = _fresh_draws(RandomStream(17, 2**64 - 1), lo, hi, draw)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_empty_range_behaves_like_the_reference(self):
-        stream = RandomStream(3, 7)
-        with pytest.raises(ValueError):
-            _fresh_draws(stream, 4, 4, self.DRAWS["normal"])
-        with pytest.raises(ValueError):
-            stream.substream_draws(4, 4, self.DRAWS["normal"])
-
-    def test_nested_calls_share_nothing(self):
-        outer, inner = RandomStream(5, 1), RandomStream(5, 2)
-
-        def draw(g):
-            mid = inner.substream_draws(0, 3, lambda h: h.normal(size=2)).ravel()
-            return np.concatenate([g.normal(size=3), mid, g.normal(size=3)])
-
-        def reference(g):
-            mid = _fresh_draws(inner, 0, 3, lambda h: h.normal(size=2)).ravel()
-            return np.concatenate([g.normal(size=3), mid, g.normal(size=3)])
-
-        got = outer.substream_draws(2, 6, draw)
-        assert got.tobytes() == _fresh_draws(outer, 2, 6, reference).tobytes()
 
 
 class TestSampleChiSq:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 import oracles
-from gofevid import model_fit
+from gofevid import cli, model_fit
 from gofevid.dist import RandomStream, count_pmf
 from gofevid.evidence import EquivalenceParams, equiv_transform
 from gofevid.fixtures import ALPHA_EMISSIONS_COUNTS
@@ -143,24 +143,17 @@ class TestCombineCells:
             combine_cells_poisson(10, 1.0)  # only one cell can reach expectation 5
 
 
-def _tail_cells_traced(n: int, mu, swap_bracket: bool = False, force_doubling: bool = False):
-    """model_fit._tail_cells plus the shape of every 2-d ``pdtr`` call it made.
+def _tail_cells_traced(n: int, mu, swap_bracket: bool = False):
+    """model_fit._tail_cells plus the shape of every ``pdtr`` call it made.
 
     ``swap_bracket`` evaluates the two bracket rows at each other's mu, which
     gives a window that is too narrow whenever their layouts differ.
-    ``force_doubling`` halves the CDF the first kmax test sees, so every row
-    doubles its kmax once; in float64 1 - pdtr(kmax - 1, mu) rounds to 0 for
-    every mu tried from 1e-3 to 1e7, so no real batch was seen to reach it.
     """
     shapes = []
-    swap = swap_bracket and len(mu) > 2  # the first 2-d call is then the bracket
-    halve = force_doubling
+    swap = swap_bracket and len(mu) > 2  # the first call is then the bracket
 
     def pdtr(k, m):
-        nonlocal swap, halve
-        if np.ndim(m) == 1:  # the kmax test
-            scale, halve = (0.5 if halve else 1.0), False
-            return special.pdtr(k, m) * scale
+        nonlocal swap
         shapes.append(np.broadcast(k, m).shape)
         if swap:
             m, swap = m[::-1], False
@@ -170,18 +163,17 @@ def _tail_cells_traced(n: int, mu, swap_bracket: bool = False, force_doubling: b
         return model_fit._tail_cells(n, np.asarray(mu, dtype=float)), shapes
 
 
-def _assert_tail_cells_match_full(n: int, mu, swap_bracket=False, force_doubling=False):
+def _assert_tail_cells_match_full(n: int, mu, swap_bracket=False):
     """The windowed layout against the full-width reference, byte for byte.
 
     Returns (reference, lo, cdf, shapes) for checks on the path taken.
     """
     mu = np.asarray(mu, dtype=float)
     want_r0, want_r, full = want = oracles.poisson_tail_cells(n, mu)
-    (r0, r, lo, cdf), shapes = _tail_cells_traced(n, mu, swap_bracket, force_doubling)
+    (r0, r, lo, cdf), shapes = _tail_cells_traced(n, mu, swap_bracket)
     assert r0.tolist() == want_r0.tolist()
     assert r.tolist() == want_r.tolist()
-    width = min(cdf.shape[1], full.shape[1] - lo)  # a doubled kmax reaches past the reference
-    assert cdf[:, :width].tobytes() == full[:, lo : lo + width].tobytes()
+    assert cdf.tobytes() == full[:, lo : lo + cdf.shape[1]].tobytes()
     for i in np.flatnonzero(want_r >= 2):
         got = model_fit._cell_probs(cdf[i : i + 1], int(r0[i]) - lo, int(r[i]))
         ref = model_fit._cell_probs(full[i : i + 1], int(want_r0[i]), int(want_r[i]))
@@ -200,9 +192,9 @@ class TestTailCellWindow:
     """The bracketed CDF window gives the layout of the full-width CDF."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(_TAIL_NS, st.one_of(_SPREAD_MUS, _CLUSTERED_MUS), st.booleans(), st.booleans())
-    def test_matches_full_width(self, n, mu, swap_bracket, force_doubling):
-        _assert_tail_cells_match_full(n, mu, swap_bracket, force_doubling)
+    @given(_TAIL_NS, st.one_of(_SPREAD_MUS, _CLUSTERED_MUS), st.booleans())
+    def test_matches_full_width(self, n, mu, swap_bracket):
+        _assert_tail_cells_match_full(n, mu, swap_bracket)
 
     def test_single_row_evaluates_the_full_range_once(self):
         (_, _, full), lo, _, shapes = _assert_tail_cells_match_full(1207, [8.367])
@@ -212,10 +204,13 @@ class TestTailCellWindow:
         (r0, _, _), _, _, _ = _assert_tail_cells_match_full(400, [0.5, 1.0, 2.0, 8.0, 30.0])
         assert (r0 == -1).any() and (r0 >= 0).any()
 
-    def test_doubled_kmax(self):
-        (_, _, full), _, _, shapes = _assert_tail_cells_match_full(
-            400, [1.0, 5.0, 50.0, 300.0], force_doubling=True)
-        assert shapes[0][1] > full.shape[1]  # the bracket rows span the doubled range
+    def test_kmax_needs_no_widening(self):
+        # _tail_cells evaluates the CDF only up to the largest row's kmax: no
+        # count total up to cli.MAX_COUNT may expect 5 at or beyond it
+        mu = np.geomspace(1e-3, 1e6, 4001)
+        kmax = (mu + 12.0 * np.sqrt(mu) + 30.0).astype(np.int64)
+        assert np.all(cli.MAX_COUNT * special.pdtrc(kmax - 1, mu) < 5.0)
+        assert np.all(cli.MAX_COUNT * (1.0 - special.pdtr(kmax - 1, mu)) < 5.0)
 
     def test_wide_spread(self):
         (_, r, _), _, _, _ = _assert_tail_cells_match_full(1600, np.geomspace(0.01, 500.0, 25))
@@ -266,11 +261,10 @@ class TestEvidenceForPoisson:
     def test_mean_evidence_near_m0_under_true_model(self):
         # Poisson(5) data at n=1600: average evidence should sit near the
         # maximum expected evidence for these cells (tabled 3.93 vs 3.89)
-        stream = RandomStream(99, 0)
         reps = 4000
         ts = np.empty(reps)
         for i in range(reps):
-            values = stream.substream(i).gen.poisson(5.0, size=1600)
+            values = RandomStream(99, i).gen.poisson(5.0, size=1600)
             ts[i] = evidence_for_poisson(np.bincount(values)).evidence.t
         assert abs(ts.mean() - 3.89) < 0.1
 
@@ -312,8 +306,8 @@ def _poisson_fit_loop(table, k=0.5):
 
 
 def _multinomial_tables(dist, n, reps, seed):
-    stream, pmf = RandomStream(seed, 0), count_pmf(*dist)
-    return np.stack([stream.substream(i).gen.multinomial(n, pmf) for i in range(reps)])
+    pmf = count_pmf(*dist)
+    return np.stack([RandomStream(seed, i).gen.multinomial(n, pmf) for i in range(reps)])
 
 
 class TestNormalityEvidenceRows:
@@ -338,6 +332,11 @@ class TestNormalityEvidenceRows:
         data[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             normality_evidence_rows(data)
+        # an infinity, or two of opposite sign, is named as such, not as an overflow
+        for bad in ([np.inf], [-np.inf], [np.inf, -np.inf]):
+            data[1, : len(bad)] = bad
+            with pytest.raises(ValueError, match="data must be finite"):
+                normality_evidence_rows(data)
 
 
 class TestPoissonEvidenceRows:
@@ -378,12 +377,11 @@ class TestPoissonEvidenceRows:
         # direct draws per replication counted with np.bincount
         n, reps = 400, 1500
         mu_a, _, _, t_a = poisson_evidence_rows(_multinomial_tables(dist, n, reps, seed=71))
-        stream = RandomStream(72, 0)
         if dist[0] == "poisson":
             draw = lambda g: g.poisson(dist[1], size=n)
         else:
             draw = lambda g: g.negative_binomial(1.0 / dist[2], 1.0 / (1.0 + dist[2] * dist[1]), size=n)
-        reports = [evidence_for_poisson(np.bincount(draw(stream.substream(i).gen)))
+        reports = [evidence_for_poisson(np.bincount(draw(RandomStream(72, i).gen)))
                    for i in range(reps)]
         mu_b = np.array([rep.mu_hat for rep in reports])
         t_b = np.array([rep.evidence.t for rep in reports])

@@ -189,14 +189,16 @@ class TestMultinomialPowerMC:
         assert est1.se / est2.se == pytest.approx(2.0, rel=0.35)
 
     def test_hits_equal_scalar_loop(self):
-        # the per-replication loop that the stacked rows replace
+        # the per-replication loop that the stacked rows replace: replication
+        # i is the i-th multinomial drawn from the stream's generator
         p7 = least_divergent_point(6, 0.15)
-        stream, n, reps = RandomStream(12, 4), 100, 3000
-        est = multinomial_power_mc(stream, n, p7, U6, 0.05, reps)
+        n, reps = 100, 3000
+        est = multinomial_power_mc(RandomStream(12, 4), n, p7, U6, 0.05, reps)
+        gen = RandomStream(12, 4).gen
         expected = n * U6
         hits = 0
-        for i in range(reps):
-            counts = stream.substream(i).gen.multinomial(n, p7)
+        for _ in range(reps):
+            counts = gen.multinomial(n, p7)
             hits += ((counts - expected) ** 2 / expected).sum() >= est.critical_value
         assert est.power == hits / reps
 

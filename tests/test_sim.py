@@ -8,7 +8,7 @@ import scipy
 
 import oracles
 from gofevid import __version__
-from gofevid.dist import ChiSqParams, RandomStream, count_pmf, sample_chisq, sample_family
+from gofevid.dist import FAMILIES, ChiSqParams, RandomStream, count_pmf, sample_chisq, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
 from gofevid import pearson, sim
@@ -130,12 +130,11 @@ class TestRunNormalTable:
     @pytest.mark.parametrize("family", sim.TABLE3_FAMILIES)
     @pytest.mark.parametrize("n,reps", [(100, 200), (6400, 5)])
     def test_batched_t_equals_report_on_same_substreams(self, family, n, reps):
-        # reps span more than one block of stacked rows at both sizes
-        cell_stream = RandomStream(46, 0)  # the stream of the run's first cell
+        # reps span more than one block of stacked rows at both sizes; the
+        # reports fit the rows of one draw from the run's first cell's stream
         name, params = sim.TABLE3[family]
-        ts = np.array([evidence_for_normality(
-            sample_family(cell_stream.substream(i), name, size=n, **params)).evidence.t
-            for i in range(reps)])
+        data = sample_family(RandomStream(46, 0), name, size=(reps, n), **params)
+        ts = np.array([evidence_for_normality(row).evidence.t for row in data])
         (row,) = run_normal_table((family,), (n,), reps=reps, seed=46)
         assert row == sim._summarize((family, n), ts)
 
@@ -306,9 +305,63 @@ class TestMapUnits:
         assert pools == [2, 3, 3]  # three grid points each
 
 
+def _recorded_rows(monkeypatch, module, name):
+    """Copies of the first argument of every call to module.name, in call order."""
+    calls, fn = [], getattr(module, name)
+
+    def recording(rows, *args, **kwargs):
+        calls.append(np.array(rows))
+        return fn(rows, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestStreamLayout4:
+    """Replication i of cell c is row i of one (reps, width) draw from
+    RandomStream(seed, c).gen, however the rows are blocked."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(pearson, "CHUNK_VALUES", 1 << 12)  # several blocks per cell
+
+    @pytest.mark.parametrize("family", sim.TABLE3_FAMILIES)
+    def test_normal_table(self, monkeypatch, family):
+        calls = _recorded_rows(monkeypatch, sim, "normality_evidence_rows")
+        run_normal_table((family,), (100, 400), reps=50, seed=8)
+        assert len(calls) == len(row_blocks(0, 50, 100)) + len(row_blocks(0, 50, 400)) == 7
+        name, params = sim.TABLE3[family]
+        for cell, n in enumerate((100, 400)):
+            want = FAMILIES[name](RandomStream(8, cell).gen, (50, n), **params)
+            got = np.concatenate([c for c in calls if c.shape[1] == n])
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dist", [("poisson", 5.0), ("neg_binomial", 10.0, 0.01)])
+    def test_poisson_table(self, monkeypatch, dist):
+        calls = _recorded_rows(monkeypatch, sim, "poisson_evidence_rows")
+        run_poisson_table((dist,), (100, 400), reps=200, seed=8)
+        pmf = count_pmf(*dist)
+        assert len(calls) == 2 * len(row_blocks(0, 200, len(pmf))) > 2
+        for cell, n in enumerate((100, 400)):
+            want = RandomStream(8, cell).gen.multinomial(n, pmf, size=200)
+            got = np.concatenate([c for c in calls if c.sum(axis=1)[0] == n])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_multinomial_power_mc(self, monkeypatch):
+        # through run_table1, whose rows p7 and uniform use streams 0 and 1
+        calls = _recorded_rows(monkeypatch, pearson, "_pearson")
+        run_table1(n=100, reps=1500, seed=8)
+        assert len(calls) == 2 * len(row_blocks(0, 1500, 6)) > 2
+        half = len(calls) // 2
+        for idx, probs in enumerate([least_divergent_point(6, 0.15), np.full(6, 1.0 / 6)]):
+            want = RandomStream(8, idx).gen.multinomial(100, probs, size=1500)
+            got = np.concatenate(calls[idx * half : (idx + 1) * half])
+            assert got.tobytes() == want.tobytes()
+
+
 class TestGeneratorsPerBlock:
-    """A block of stacked replications builds one bit generator, however many
-    replications it holds."""
+    """The blocks of stacked replications of one cell share one bit
+    generator, however many blocks the cell draws."""
 
     @pytest.fixture
     def philox_builds(self, monkeypatch):
@@ -325,16 +378,19 @@ class TestGeneratorsPerBlock:
 
     def test_normal_table(self, philox_builds):
         run_normal_table(("normal",), (1600,), reps=40, seed=1)
-        assert len(philox_builds) == len(row_blocks(0, 40, 1600)) == 4
+        assert len(row_blocks(0, 40, 1600)) == 4
+        assert len(philox_builds) == 1
 
     def test_poisson_table(self, philox_builds):
         run_poisson_table((("poisson", 5),), (100,), reps=2000, seed=1)
-        assert len(philox_builds) == len(row_blocks(0, 2000, len(count_pmf("poisson", 5)))) == 5
+        assert len(row_blocks(0, 2000, len(count_pmf("poisson", 5)))) == 5
+        assert len(philox_builds) == 1
 
     def test_multinomial_power_mc(self, philox_builds):
         probs = np.full(6, 1.0 / 6)
         multinomial_power_mc(RandomStream(1, 0), 100, probs, probs, 0.05, 6000)
-        assert len(philox_builds) == len(row_blocks(0, 6000, 6)) == 3
+        assert len(row_blocks(0, 6000, 6)) == 3
+        assert len(philox_builds) == 1
 
 
 def test_results_independent_of_block_size(monkeypatch):
@@ -409,7 +465,7 @@ class TestRunScenario:
         config = SimConfig(scenario="table1_models", reps=1000, seed=6)
         run_scenario(config, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 3
+        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 4
         assert manifest["versions"] == {"gofevid": __version__, "numpy": np.__version__,
                                         "scipy": scipy.__version__}
 
