@@ -162,6 +162,14 @@ class TestRandomStream:
             RandomStream(9, sid).gen.standard_normal(5)
         assert np.array_equal(a.gen.standard_normal(8), want)
 
+    def test_substream_deterministic_and_distinct(self):
+        # each table cell draws from RandomStream(seed, cell): the key must fix
+        # the sequence, and neighbouring cells or seeds must not share it
+        a = RandomStream(4, 5).gen.standard_normal(8)
+        assert np.array_equal(RandomStream(4, 5).gen.standard_normal(8), a)
+        for other in (RandomStream(4, 6), RandomStream(5, 5), RandomStream(5, 4)):
+            assert not np.array_equal(other.gen.standard_normal(8), a)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomStream(-1)
