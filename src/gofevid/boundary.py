@@ -59,8 +59,8 @@ def lambda0_uniform(n: int, r: int, k: float) -> float:
     """Boundary noncentrality n k^2 / (r - 1) for equivalence to uniformity."""
     check_r(r)
     check_k(k)
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not 0 < n < math.inf:
+        raise ValueError(f"n must be positive and finite, got {n}")
     return n * k * k / (r - 1)
 
 

@@ -1,5 +1,6 @@
 """Distribution primitives: normal and (non)central chi-squared, seedable
-streams and the probability-vector check.
+streams, and the checks of probability vectors, degrees of freedom,
+noncentralities and probability levels.
 
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
 ``chndtrix``.  Random streams are counter-based (Philox keyed by
@@ -88,6 +89,24 @@ def check_probs(p, name: str, positive: bool = False) -> np.ndarray:
     return arr
 
 
+def check_nu(nu) -> None:
+    """Reject degrees of freedom that are not positive and finite; NaN fails."""
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
+
+
+def check_lam(lam, name: str = "lam") -> None:
+    """Reject a noncentrality that is not nonnegative and finite; NaN fails."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {lam}")
+
+
+def check_level(p, name: str) -> None:
+    """Reject a probability level outside the open interval (0, 1); NaN fails."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {p}")
+
+
 @dataclass(frozen=True)
 class ChiSqParams:
     """Degrees of freedom nu > 0 and noncentrality lam >= 0."""
@@ -96,17 +115,16 @@ class ChiSqParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
-        if not (self.lam >= 0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        check_nu(self.nu)
+        check_lam(self.lam)
 
 
 def normal_quantile(p):
     """Inverse standard normal CDF on (0, 1)."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("p must lie strictly in (0, 1)")
+    inside = (arr > 0.0) & (arr < 1.0)
+    if not inside.all():
+        check_level(float(arr[~inside].flat[0]), "p")  # raises on the first bad entry
     out = special.ndtri(arr)
     return float(out) if np.isscalar(p) else out
 
@@ -119,8 +137,7 @@ def chisq_cdf(x, params: ChiSqParams):
 
 def chisq_quantile(p: float, params: ChiSqParams) -> float:
     """Inverse of chisq_cdf on (0, 1)."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly in (0, 1)")
+    check_level(p, "p")
     return float(special.chndtrix(p, params.nu, params.lam))
 
 

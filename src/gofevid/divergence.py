@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .dist import ChiSqParams, check_probs
+from .dist import ChiSqParams, check_lam, check_nu, check_probs
 from .evidence import EquivalenceParams
 
 __all__ = [
@@ -27,8 +27,8 @@ def J_uniform(p, n: int = 1) -> float:
     if pa.ndim != 1 or len(pa) < 2:
         raise ValueError("p must be a 1-d probability vector of length >= 2")
     check_probs(pa, "p", positive=True)  # the divergence is infinite at a zero entry
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not 0 < n < math.inf:
+        raise ValueError(f"n must be positive and finite, got {n}")
     r = len(pa)
     return float(n * ((pa - 1.0 / r) * np.log(pa)).sum())
 
@@ -64,11 +64,11 @@ def _chisq_logpdf(x: np.ndarray, params: ChiSqParams) -> np.ndarray:
 
 
 def chisq_density(x, params: ChiSqParams):
-    """Density of the (non)central chi-squared law; nonpositive x maps to 0."""
+    """Density of the (non)central chi-squared law; nonpositive and infinite x map to 0."""
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(xa.shape, dtype=float)
-    pos = xa > 0.0
+    out = np.where(np.isnan(xa), np.nan, 0.0)  # NaN stays NaN, as in chisq_cdf
+    pos = (xa > 0.0) & (xa < math.inf)
     if np.any(pos):
         out[pos] = np.exp(_chisq_logpdf(xa[pos], params))
     return float(out[0]) if scalar else out
@@ -80,7 +80,7 @@ def _support_bound(params: ChiSqParams) -> float:
     return mean + 40.0 * sd + 20.0
 
 
-def J_noncentral(nu: float, lambdaA: float, lambdaB: float, epsabs: float = 1e-6) -> float:
+def J_noncentral(nu: float, lambdaA: float, lambdaB: float) -> float:
     """Symmetrized divergence between chi2(nu, lambdaA) and chi2(nu, lambdaB).
 
     Integrates (f_A - f_B) ln(f_A / f_B) by adaptive quadrature over the
@@ -88,8 +88,9 @@ def J_noncentral(nu: float, lambdaA: float, lambdaB: float, epsabs: float = 1e-6
     contribute nothing (the integrand there is below any representable tail
     bound).
     """
-    if not (nu > 0 and lambdaA >= 0 and lambdaB >= 0):
-        raise ValueError("need nu > 0 and nonnegative noncentralities")
+    check_nu(nu)
+    check_lam(lambdaA, "lambdaA")
+    check_lam(lambdaB, "lambdaB")
     if lambdaA == lambdaB:
         return 0.0
     from scipy import integrate  # ~0.3 s to import; no pipeline or CLI command needs it
@@ -108,14 +109,13 @@ def J_noncentral(nu: float, lambdaA: float, lambdaB: float, epsabs: float = 1e-6
 
     breaks = sorted({nu + lambdaA, nu + lambdaB} - {0.0, hi})
     val, _ = integrate.quad(integrand, 0.0, hi, points=breaks or None,
-                            limit=400, epsabs=epsabs, epsrel=1e-9)
+                            limit=400, epsabs=1e-6, epsrel=1e-9)
     return max(val, 0.0)
 
 
-def signed_root_J(params: EquivalenceParams, lam: float, epsabs: float = 1e-6) -> float:
+def signed_root_J(params: EquivalenceParams, lam: float) -> float:
     """sgn(lambda0 - lam) * sqrt(J(lambda0, lam)); comparable to the
     first-order mean of the equivalence evidence."""
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
-    j = J_noncentral(params.nu, params.lambda0, lam, epsabs=epsabs)
+    check_lam(lam)
+    j = J_noncentral(params.nu, params.lambda0, lam)
     return math.copysign(math.sqrt(j), params.lambda0 - lam)

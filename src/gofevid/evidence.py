@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dist import check_lam, check_nu
+
 __all__ = [
     "Direction",
     "EvidenceValue",
@@ -62,22 +64,17 @@ class EquivalenceParams:
     lambda0: float
 
     def __post_init__(self):
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-
-
-def _check_s_nu(s, nu):
-    if not (nu > 0 and math.isfinite(nu)):
-        raise ValueError(f"nu must be positive, got {nu}")
-    if not np.all(np.asarray(s) >= 0):  # also catches NaN
-        raise ValueError("statistic s must be nonnegative and not NaN")
+        check_nu(self.nu)
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
 
 
 def _branch_root(s: np.ndarray, nu: float):
     """(s < nu, the branch's root): sqrt(2 s) below s = nu and sqrt(s - nu/2)
-    above, one np.sqrt over the selected arguments."""
+    above, one np.sqrt over the selected arguments.  Rejects a negative or
+    NaN statistic."""
+    if not np.all(s >= 0):
+        raise ValueError("statistic s must be nonnegative and not NaN")
     lower = s < nu
     return lower, np.sqrt(np.where(lower, 2.0 * s, s - 0.5 * nu))
 
@@ -89,7 +86,7 @@ def lof_transform(s, nu: float, bias_adjust: bool = True):
     sqrt(nu/2) above; continuous, strictly increasing, and 0 at s = nu
     before the +0.2/sqrt(nu) bias adjustment.
     """
-    _check_s_nu(s, nu)
+    check_nu(nu)
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
     lower, root = _branch_root(sa, nu)
@@ -108,7 +105,6 @@ def equiv_transform(s, params: EquivalenceParams, bias_adjust: bool = True):
     the first-order bias at the boundary lam = lambda0.
     """
     nu, lam0 = params.nu, params.lambda0
-    _check_s_nu(s, nu)
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
     c1 = math.sqrt(lam0 + 0.5 * nu)
@@ -128,8 +124,8 @@ def evidence_against(s: float, nu: float, bias_adjust: bool = True) -> EvidenceV
 
 def expected_evidence_against(nu: float, lam: float) -> float:
     """First-order mean of the lack-of-fit evidence: sqrt(lam + nu/2) - sqrt(nu/2)."""
-    if not (nu > 0 and lam >= 0):
-        raise ValueError("need nu > 0 and lam >= 0")
+    check_nu(nu)
+    check_lam(lam)
     return math.sqrt(lam + 0.5 * nu) - math.sqrt(0.5 * nu)
 
 
@@ -143,8 +139,7 @@ def evidence_for_equivalence(
 
 def expected_evidence_equiv(params: EquivalenceParams, lam: float) -> float:
     """First-order mean of the equivalence evidence at noncentrality lam."""
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    check_lam(lam)
     return math.sqrt(params.lambda0 + 0.5 * params.nu) - math.sqrt(lam + 0.5 * params.nu)
 
 

@@ -14,7 +14,7 @@ give bit-identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -42,9 +42,26 @@ DEFAULT_K = 0.5
 _MIN_EXPECTED = 5.0
 
 
+class _FitReport:
+    """``to_dict`` for the fit reports: the model name, then every field in
+    declaration order, arrays as lists and the evidence as t, se and direction."""
+
+    def to_dict(self) -> dict:
+        d = {"model": self.model}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, EvidenceValue):
+                d.update(t=v.t, se=v.se, direction=v.direction.value)
+            else:
+                d[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+        return d
+
+
 @dataclass(frozen=True)
-class NormalFitReport:
+class NormalFitReport(_FitReport):
     """Provenance of a normality fit: binning, statistic, boundary, evidence."""
+
+    model = "normal"
 
     n: int
     r: int
@@ -58,28 +75,12 @@ class NormalFitReport:
     bias_adjust: bool
     evidence: EvidenceValue
 
-    def to_dict(self) -> dict:
-        return {
-            "model": "normal",
-            "n": self.n,
-            "r": self.r,
-            "edges": [float(e) for e in self.edges],
-            "counts": [int(c) for c in self.counts],
-            "s_stat": self.s_stat,
-            "nu": self.nu,
-            "lambda0": self.lambda0,
-            "m0": self.m0,
-            "k": self.k,
-            "bias_adjust": self.bias_adjust,
-            "t": self.evidence.t,
-            "se": self.evidence.se,
-            "direction": self.evidence.direction.value,
-        }
-
 
 @dataclass(frozen=True)
-class PoissonFitReport:
+class PoissonFitReport(_FitReport):
     """Provenance of a Poisson fit after tail-cell combining."""
+
+    model = "poisson"
 
     n: int
     mu_hat: float
@@ -94,26 +95,6 @@ class PoissonFitReport:
     k: float
     bias_adjust: bool
     evidence: EvidenceValue
-
-    def to_dict(self) -> dict:
-        return {
-            "model": "poisson",
-            "n": self.n,
-            "mu_hat": self.mu_hat,
-            "r0": self.r0,
-            "r": self.r,
-            "comb_probs": [float(p) for p in self.comb_probs],
-            "comb_counts": [int(c) for c in self.comb_counts],
-            "s_stat": self.s_stat,
-            "nu": self.nu,
-            "lambda0": self.lambda0,
-            "m0": self.m0,
-            "k": self.k,
-            "bias_adjust": self.bias_adjust,
-            "t": self.evidence.t,
-            "se": self.evidence.se,
-            "direction": self.evidence.direction.value,
-        }
 
 
 def choose_r_normal(n: int) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import ChiSqParams, RandomStream, check_probs, chisq_cdf, chisq_quantile
+from .dist import ChiSqParams, RandomStream, check_level, check_probs, chisq_cdf, chisq_quantile
 from .evidence import EquivalenceParams
 
 __all__ = [
@@ -99,16 +99,14 @@ def pearson_stats(counts, null_probs) -> np.ndarray:
 
 def power_lack_of_fit(alpha: float, nu: float, lam: float) -> float:
     """P(S >= c) for S ~ chi2(nu, lam), c the central 1-alpha quantile."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly in (0, 1)")
+    check_level(alpha, "alpha")
     c = chisq_quantile(1.0 - alpha, ChiSqParams(nu, 0.0))
     return 1.0 - chisq_cdf(c, ChiSqParams(nu, lam))
 
 
 def power_equivalence(alpha: float, params: EquivalenceParams, lam: float) -> float:
     """P(S <= c_alpha) for S ~ chi2(nu, lam), c_alpha the alpha quantile at lambda0."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly in (0, 1)")
+    check_level(alpha, "alpha")
     c = chisq_quantile(alpha, ChiSqParams(params.nu, params.lambda0))
     return chisq_cdf(c, ChiSqParams(params.nu, lam))
 
@@ -128,8 +126,7 @@ class EquivalenceDecision:
 
 def equivalence_test(s: float, params: EquivalenceParams, alpha: float) -> EquivalenceDecision:
     """Reject non-equivalence iff s <= the alpha quantile of chi2(nu, lambda0)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly in (0, 1)")
+    check_level(alpha, "alpha")
     c = chisq_quantile(alpha, ChiSqParams(params.nu, params.lambda0))
     decision = "reject_nonequivalence" if s <= c else "retain"
     return EquivalenceDecision(decision=decision, s=float(s), critical_value=c,
@@ -166,6 +163,7 @@ def multinomial_power_mc(
         raise ValueError("probability vectors must have the same length")
     check_probs(null_probs, "null_probs", positive=True)
     check_probs(true_probs, "true_probs")
+    check_level(alpha, "alpha")
     r = len(null_probs)
     c = chisq_quantile(1.0 - alpha, ChiSqParams(r - 1, 0.0))
 

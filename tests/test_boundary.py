@@ -86,6 +86,11 @@ class TestLambda0Uniform:
         with pytest.raises(ValueError):
             lambda0_uniform(100, 6, 1.5)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, -1])
+    def test_n_must_be_positive_and_finite(self, n):
+        with pytest.raises(ValueError, match="n must be positive and finite"):
+            lambda0_uniform(n, 6, 0.5)
+
 
 class TestInradius:
     def test_closed_forms(self):

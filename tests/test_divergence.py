@@ -46,8 +46,20 @@ class TestJUniform:
         with pytest.raises(ValueError, match="every p entry must exceed 1e-12, got nan"):
             J_uniform([0.5, math.nan])
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 0])
+    def test_n_must_be_positive_and_finite(self, n):
+        with pytest.raises(ValueError, match="n must be positive and finite"):
+            J_uniform([0.4, 0.6], n=n)
+
 
 class TestChiSqDensity:
+    def test_nan_stays_nan_and_infinite_x_maps_to_zero(self):
+        params = ChiSqParams(5, 1)
+        got = chisq_density([1.0, math.nan, math.inf, -math.inf], params)
+        assert got[0] == chisq_density(1.0, params) > 0
+        assert math.isnan(got[1]) and math.isnan(chisq_cdf(math.nan, params))
+        assert got[2] == got[3] == 0.0
+
     def test_exponential_special_case(self):
         assert chisq_density(1.0, ChiSqParams(2, 0)) == pytest.approx(
             math.exp(-0.5) / 2, rel=1e-12)
@@ -100,11 +112,6 @@ class TestJNoncentral:
     def test_trapezoid_oracle(self):
         for nu, a, b in [(5, 12, 6), (5, 8, 0), (1, 4, 10)]:
             assert abs(J_noncentral(nu, a, b) - oracles.trapezoid_J(nu, a, b)) < 1e-5
-
-    def test_quadrature_stability(self):
-        v1 = J_noncentral(5, 12, 6, epsabs=1e-6)
-        v2 = J_noncentral(5, 12, 6, epsabs=5e-7)
-        assert abs(v1 - v2) < 1e-5
 
     def test_monotone_agreement_with_mean_curve(self):
         lams = list(range(2, 31, 2))

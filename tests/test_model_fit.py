@@ -57,6 +57,14 @@ class TestEvidenceForNormality:
         assert rep.lambda0 == pytest.approx(400 * 0.25 / 9)
         assert rep.m0 == pytest.approx(math.sqrt(rep.lambda0 + 3.5) - math.sqrt(3.5))
 
+    def test_to_dict_keeps_field_order(self):
+        # the CLI's csv columns follow this order
+        d = evidence_for_normality(np.random.default_rng(1).standard_normal(400)).to_dict()
+        assert list(d) == ["model", "n", "r", "edges", "counts", "s_stat", "nu", "lambda0",
+                           "m0", "k", "bias_adjust", "t", "se", "direction"]
+        assert d["model"] == "normal" and d["se"] == 1.0
+        assert type(d["counts"][0]) is int and type(d["edges"][0]) is float
+
     def test_determinism(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal(256)
@@ -252,6 +260,15 @@ class TestEvidenceForPoisson:
         # 12 observations all equal to 3: combining leaves r = 2, so nu = r - 2 = 0
         with pytest.raises(ValueError, match=r"r = 2 cells.*at least 3"):
             evidence_for_poisson(np.array([0, 0, 0, 12]))
+
+    def test_to_dict_keeps_field_order(self):
+        # the CLI's csv columns follow this order
+        d = evidence_for_poisson(ALPHA).to_dict()
+        assert list(d) == ["model", "n", "mu_hat", "r0", "r", "comb_probs", "comb_counts",
+                           "s_stat", "nu", "lambda0", "m0", "k", "bias_adjust", "t", "se",
+                           "direction"]
+        assert d["model"] == "poisson" and d["direction"] == "for_equivalence"
+        assert type(d["comb_counts"][0]) is int and type(d["comb_probs"][0]) is float
 
     def test_determinism(self):
         a = evidence_for_poisson(ALPHA).evidence.t
