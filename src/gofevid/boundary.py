@@ -117,5 +117,6 @@ def table2(m0_list, r_list, k: float = 1.0) -> np.ndarray:
     out = np.empty((len(m0_list), len(r_list)), dtype=np.int64)
     for i, m0 in enumerate(m0_list):
         for j, r in enumerate(r_list):
+            check_r(r)  # before d0 divides by sqrt(r (r - 1))
             out[i, j] = sample_size(m0, r - 1, r, k / math.sqrt(r * (r - 1)))
     return out

@@ -13,6 +13,7 @@ normal squared plus a central remainder (stream layout 3).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,10 +207,13 @@ def _count_law(kind: str, mu: float, alpha: float):
     raise ValueError(f"unknown count distribution {kind!r}")
 
 
+@functools.lru_cache(maxsize=64)
 def count_support(kind: str, mu: float, alpha: float = 0.0) -> int:
     """Smallest K >= 1 with P(X >= K) < 1e-20, found without allocating.
 
     Raises ValueError when the table over 0..K would exceed MAX_COUNT_CELLS.
+    Results are cached by argument list: pass alpha explicitly, as count_pmf
+    does, to share its entry.
     """
     _, sf = _count_law(kind, mu, alpha)
     lo, hi = 0, 1  # sf(lo) >= tail > sf(hi) once the doubling stops

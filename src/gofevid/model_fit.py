@@ -7,8 +7,10 @@ convention: nu = r - 3 for normality, nu = r - 2 for the Poisson pipeline.
 
 The binning, tail-cell combining and statistic work on rows of a 2-d array,
 so ``normality_evidence_rows`` and ``poisson_evidence_rows`` fit a batch of
-replications at once; the report functions run the same code on one row and
-give bit-identical values.
+replications at once.  The report functions run the same fit (``_normal_fit``,
+``_poisson_groups``) on a one-row array and read row 0: the cells, mu_hat and
+S come from the arrays and the ``pearson_stats`` call the rows path uses, so
+the values are bit-identical and no count array is checked twice.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .boundary import lambda0_uniform
 from .dist import normal_quantile
 from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
     evidence_for_equivalence, max_expected_evidence
-from .pearson import CellData, pearson_stat, pearson_stats
+from .pearson import check_counts, pearson_stats
 
 __all__ = [
     "NormalFitReport",
@@ -137,8 +139,12 @@ def _normal_cells(x: np.ndarray):
     return edges, at_or_above[:, :-1] - at_or_above[:, 1:]
 
 
-def _normal_params(n: int, r: int, k: float) -> EquivalenceParams:
-    return EquivalenceParams(nu=float(r - 3), lambda0=lambda0_uniform(n, r, k))
+def _normal_fit(x: np.ndarray, k: float):
+    """(edges, counts, S, params) of the normality fit to each row of a (rows, n) array."""
+    edges, counts = _normal_cells(x)
+    n, r = x.shape[1], counts.shape[1]
+    params = EquivalenceParams(nu=float(r - 3), lambda0=lambda0_uniform(n, r, k))
+    return edges, counts, pearson_stats(counts, np.full(r, 1.0 / r)), params
 
 
 def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True) -> NormalFitReport:
@@ -151,13 +157,10 @@ def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True)
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValueError("data must be a 1-d sequence")
-    edges, counts = _normal_cells(x[None, :])
-    n, r = len(x), counts.shape[1]
-    cells = CellData(counts=counts[0], null_probs=np.full(r, 1.0 / r))
-    s_stat = pearson_stat(cells)
-    params = _normal_params(n, r, k)
+    edges, counts, s_stat, params = _normal_fit(x[None, :], k)
+    s_stat = float(s_stat[0])
     return NormalFitReport(
-        n=n, r=r, edges=edges[0], counts=cells.counts, s_stat=s_stat, nu=params.nu,
+        n=len(x), r=counts.shape[1], edges=edges[0], counts=counts[0], s_stat=s_stat, nu=params.nu,
         lambda0=params.lambda0, m0=max_expected_evidence(params), k=k,
         bias_adjust=bias_adjust,
         evidence=evidence_for_equivalence(s_stat, params, bias_adjust),
@@ -172,22 +175,14 @@ def normality_evidence_rows(data, k: float = DEFAULT_K, bias_adjust: bool = True
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a (rows, n) array")
-    _, counts = _normal_cells(x)
-    n, r = x.shape[1], counts.shape[1]
-    s_stat = pearson_stats(counts, np.full(r, 1.0 / r))
-    return equiv_transform(s_stat, _normal_params(n, r, k), bias_adjust)
+    _, _, s_stat, params = _normal_fit(x, k)
+    return equiv_transform(s_stat, params, bias_adjust)
 
 
 def poisson_mle(counts) -> float:
-    """Maximum likelihood mean from a frequency table on 0, 1, 2, ..."""
-    nu_j = np.asarray(counts, dtype=float)
-    if nu_j.ndim != 1 or len(nu_j) == 0:
-        raise ValueError("counts must be a nonempty 1-d frequency table")
-    if np.any(nu_j < 0) or not np.allclose(nu_j, np.round(nu_j)):
-        raise ValueError("counts must be nonnegative integers")
-    if nu_j.sum() < 1:
-        raise ValueError("need at least one observation")
-    return float(_mle_rows(nu_j[None, :])[0])
+    """Maximum likelihood mean from a frequency table on 0, 1, 2, ... (see ``check_counts``)."""
+    table, _ = check_counts(counts, 1)
+    return float(_mle_rows(table[None, :])[0])
 
 
 def _mle_rows(tables: np.ndarray) -> np.ndarray:
@@ -295,19 +290,18 @@ def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
     return r0, r, _cell_probs(cdf, r0 - lo, r)[0]
 
 
-def _poisson_groups(tables: np.ndarray):
-    """Fit Poisson cells to each row of a (rows, K) frequency-table array.
+def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
+    """Fit Poisson cells to each row of a checked (rows, K) frequency-table array.
 
-    All rows must have the same total n.  Returns (n, mu_hat, groups), where
-    each group (rows, r0, r, probs, counts) holds the rows sharing one
+    All rows must have the same total n; ``totals`` holds the row totals.
+    Returns (mu_hat, groups), where each group
+    (rows, r0, r, probs, counts, S, params) holds the rows sharing one
     combined-cell layout.  Raises UndefinedFit for the first row whose fit is
     undefined: mu_hat = 0, or fewer than 3 cells after combining.
     """
-    n = int(tables[0].sum())
-    if np.any(tables.sum(axis=1) != n):
+    n = int(totals[0])
+    if np.any(totals != n):
         raise ValueError("every frequency table in a batch must have the same total")
-    if n < 1:
-        raise ValueError("need at least one observation")
     mu = _mle_rows(tables)
     r0, r, lo, cdf = _tail_cells(n, np.where(mu > 0, mu, 1.0))  # mu_hat = 0 rows are rejected below
     undefined = np.flatnonzero((mu == 0) | (r < 3))
@@ -321,33 +315,28 @@ def _poisson_groups(tables: np.ndarray):
     groups = []
     for g_r0, g_r in sorted(set(zip(r0.tolist(), r.tolist()))):
         rows = np.flatnonzero((r0 == g_r0) & (r == g_r))
-        groups.append((rows, g_r0, g_r, _cell_probs(cdf[rows], g_r0 - lo, g_r),
-                       _fold_counts(tables[rows], g_r0, g_r)))
-    return n, mu, groups
-
-
-def _poisson_params(n: int, r: int, k: float) -> EquivalenceParams:
-    return EquivalenceParams(nu=float(r - 2), lambda0=lambda0_uniform(n, r, k))
+        probs = _cell_probs(cdf[rows], g_r0 - lo, g_r)
+        counts = _fold_counts(tables[rows], g_r0, g_r)
+        params = EquivalenceParams(nu=float(g_r - 2), lambda0=lambda0_uniform(n, g_r, k))
+        groups.append((rows, g_r0, g_r, probs, counts, pearson_stats(counts, probs), params))
+    return mu, groups
 
 
 def evidence_for_poisson(counts, k: float = DEFAULT_K, bias_adjust: bool = True) -> PoissonFitReport:
     """Evidence that count data follow a Poisson law.
 
+    counts[j] is the number of observations equal to j (see ``check_counts``).
     Estimates mu by maximum likelihood, combines tail cells so every expected
     count is >= 5, and transforms the resulting Pearson statistic with
     nu = r - 2 and boundary lambda0 = n k^2 / (r - 1).
     """
-    nu_j = np.asarray(counts)
-    if nu_j.ndim != 1:
-        raise ValueError("counts must be a 1-d frequency table indexed from 0")
-    mu_hat = poisson_mle(nu_j)
-    n, _, [(_, r0, r, comb_probs, comb_counts)] = _poisson_groups(nu_j.astype(np.int64)[None, :])
-    cells = CellData(counts=comb_counts[0], null_probs=comb_probs[0])
-    s_stat = pearson_stat(cells)
-    params = _poisson_params(n, r, k)
+    table, total = check_counts(counts, 1)
+    mu, [(_, r0, r, comb_probs, comb_counts, s_stat, params)] = _poisson_groups(
+        table[None, :], total.reshape(1), k)
+    s_stat = float(s_stat[0])
     return PoissonFitReport(
-        n=n, mu_hat=mu_hat, r0=r0, r=r, comb_probs=cells.null_probs,
-        comb_counts=cells.counts, s_stat=s_stat, nu=params.nu, lambda0=params.lambda0,
+        n=int(total), mu_hat=float(mu[0]), r0=r0, r=r, comb_probs=comb_probs[0],
+        comb_counts=comb_counts[0], s_stat=s_stat, nu=params.nu, lambda0=params.lambda0,
         m0=max_expected_evidence(params), k=k, bias_adjust=bias_adjust,
         evidence=evidence_for_equivalence(s_stat, params, bias_adjust),
     )
@@ -361,18 +350,13 @@ def poisson_evidence_rows(tables, k: float = DEFAULT_K, bias_adjust: bool = True
     ``evidence_for_poisson(tables[i], k, bias_adjust)``.  A row whose fit is
     undefined raises UndefinedFit carrying its index.
     """
-    tables = np.asarray(tables)
-    if tables.ndim != 2 or len(tables) == 0 or not np.issubdtype(tables.dtype, np.integer):
-        raise ValueError("tables must be a nonempty (rows, K) integer array")
-    if np.any(tables < 0):
-        raise ValueError("counts must be nonnegative integers")
-    n, mu, groups = _poisson_groups(tables)
+    tables, totals = check_counts(tables, 2)
+    mu, groups = _poisson_groups(tables, totals, k)
     r_out = np.empty(len(tables))
     m0 = np.empty(len(tables))
     t = np.empty(len(tables))
-    for rows, _, r, probs, counts in groups:
-        params = _poisson_params(n, r, k)
+    for rows, _, r, _, _, s_stat, params in groups:
         r_out[rows] = r
         m0[rows] = max_expected_evidence(params)
-        t[rows] = equiv_transform(pearson_stats(counts, probs), params, bias_adjust)
+        t[rows] = equiv_transform(s_stat, params, bias_adjust)
     return mu, r_out, m0, t

@@ -33,20 +33,33 @@ def row_blocks(lo: int, hi: int, width: int):
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _check_cells(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """CellData's checks on the last axis of counts and probs; returns the totals."""
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative integers")
-    check_probs(probs, "null_probs", positive=True)
-    n = counts.sum(axis=-1)
-    if np.any(n <= 0):
+def check_counts(counts, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """counts as an integer array of `ndim` axes, each table along the last
+    axis, and the tables' totals.
+
+    The array must be nonempty and of an integer dtype (floats are rejected
+    even when whole-valued), with no negative entry and every total at
+    least 1.  Shape rules beyond the number of axes are the caller's.
+    """
+    arr = np.asarray(counts)
+    if arr.ndim != ndim or arr.size == 0:
+        shape = "1-d" if ndim == 1 else "(rows, cells)"
+        raise ValueError(f"counts must be a nonempty {shape} array")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"counts must be nonnegative integers, got dtype {arr.dtype}")
+    low = arr.min()
+    if low < 0:
+        raise ValueError(f"counts must be nonnegative integers, got {low}")
+    n = arr.sum(axis=-1)
+    if np.any(n < 1):
         raise ValueError("total count must be positive")
-    return n
+    return arr, n
 
 
-def _pearson(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Sum of (observed - expected)^2 / expected along the last axis."""
-    expected = counts.sum(axis=-1, keepdims=True) * probs
+def _pearson(counts: np.ndarray, probs: np.ndarray, n) -> np.ndarray:
+    """Sum of (observed - expected)^2 / expected along the last axis; n holds
+    the totals of the counts."""
+    expected = np.expand_dims(n, -1) * probs
     return ((counts - expected) ** 2 / expected).sum(axis=-1)
 
 
@@ -54,8 +67,9 @@ def _pearson(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
 class CellData:
     """Observed cell counts paired with null-model cell probabilities.
 
-    Cells with null probability below 1e-12 are rejected; merging sparse
-    cells is the job of the model-fit pipelines, not of this container.
+    The counts get ``check_counts``.  Cells with null probability below
+    1e-12 are rejected; merging sparse cells is the job of the model-fit
+    pipelines, not of this container.
     """
 
     counts: np.ndarray
@@ -63,22 +77,17 @@ class CellData:
     n: int = field(init=False)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
+        self.counts, n = check_counts(np.array(self.counts), 1)  # a copy, as n describes it
         probs = np.asarray(self.null_probs, dtype=float)
-        if counts.ndim != 1 or probs.ndim != 1 or len(counts) != len(probs):
+        if probs.shape != self.counts.shape:
             raise ValueError("counts and null_probs must be 1-d sequences of equal length")
-        if len(counts) == 0:
-            raise ValueError("need at least one cell")
-        if not np.allclose(counts, np.round(counts)):  # _check_cells checks the sign
-            raise ValueError("counts must be nonnegative integers")
-        self.counts = counts.astype(np.int64)
-        self.null_probs = probs
-        self.n = int(_check_cells(self.counts, probs))
+        self.null_probs = check_probs(probs, "null_probs", positive=True)
+        self.n = int(n)
 
 
 def pearson_stat(data: CellData) -> float:
     """Sum of (observed - expected)^2 / expected over the cells."""
-    return float(_pearson(data.counts, data.null_probs))
+    return float(_pearson(data.counts, data.null_probs, data.n))
 
 
 def pearson_stats(counts, null_probs) -> np.ndarray:
@@ -87,14 +96,12 @@ def pearson_stats(counts, null_probs) -> np.ndarray:
     null_probs is (r,) or (rows, r).  The rows get CellData's checks in
     array form, and each row's statistic equals ``pearson_stat`` of that row.
     """
-    counts = np.asarray(counts)
+    counts, n = check_counts(counts, 2)
     probs = np.asarray(null_probs, dtype=float)
-    if counts.ndim != 2 or probs.shape[-1:] != counts.shape[-1:] or counts.shape[1] == 0:
-        raise ValueError("counts must be a (rows, r) array and null_probs must have r columns")
-    if not np.issubdtype(counts.dtype, np.integer):
-        raise ValueError("counts must be nonnegative integers")
-    _check_cells(counts, probs)
-    return _pearson(counts, probs)
+    if probs.shape[-1:] != counts.shape[-1:]:
+        raise ValueError("null_probs must have one column per count cell")
+    check_probs(probs, "null_probs", positive=True)
+    return _pearson(counts, probs, n)
 
 
 def power_lack_of_fit(alpha: float, nu: float, lam: float) -> float:
@@ -171,7 +178,7 @@ def multinomial_power_mc(
     hits = 0
     for a, b in row_blocks(0, reps, r):
         counts = gen.multinomial(n, true_probs, size=b - a)
-        hits += int(np.count_nonzero(_pearson(counts, null_probs) >= c))
+        hits += int(np.count_nonzero(_pearson(counts, null_probs, counts.sum(axis=-1)) >= c))
     p = hits / reps
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / reps)
     return PowerEstimate(power=p, se=se, reps=reps, critical_value=c)

@@ -164,7 +164,8 @@ def _check_dist(dist) -> None:
     if not ok:
         raise ValueError(f"bad dists entry {clip_repr(dist)}: expected [\"poisson\", mu] or "
                          "[\"neg_binomial\", mu, alpha] with mu > 0 and alpha >= 0")
-    count_support(*dist)  # bounds the table width before anything is allocated
+    # bounds the table width before anything is allocated; count_pmf's arguments share the cache
+    count_support(dist[0], dist[1], dist[2] if len(dist) == 3 else 0.0)
 
 
 def _validate_params(scenario: str, params: dict) -> None:

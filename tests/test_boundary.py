@@ -187,6 +187,12 @@ class TestTable2:
         with pytest.raises(ValueError):
             table2([3.3], [6], k=0.0)
 
+    @pytest.mark.parametrize("r", [1, 0])
+    def test_r_domain_checked_before_d0(self, r):
+        # d0 = k / sqrt(r (r - 1)) would divide by zero first
+        with pytest.raises(ValueError, match="r must be an integer >= 2"):
+            table2([1.0], [r])
+
 
 class TestInscribedBallOfPolytope:
     @pytest.mark.parametrize("r", [3, 4, 6])

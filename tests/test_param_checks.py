@@ -1,7 +1,9 @@
 """Every public entry point that takes nu, lam, lambda0 or a test level
 rejects NaN, +-inf and out-of-range values with the message of the one
 check that owns the rule (``dist.check_nu``, ``check_lam``, ``check_level``
-and the lambda0 rule of ``EquivalenceParams``)."""
+and the lambda0 rule of ``EquivalenceParams``).  Every entry point that takes
+cell counts rejects float (even whole-valued), negative, empty, zero-total
+and wrongly shaped counts with the message of ``pearson.check_counts``."""
 
 import math
 
@@ -11,8 +13,9 @@ from gofevid.dist import ChiSqParams, RandomStream, chisq_quantile, normal_quant
 from gofevid.divergence import J_noncentral, signed_root_J
 from gofevid.evidence import EquivalenceParams, expected_evidence_against, \
     expected_evidence_equiv, lof_transform
-from gofevid.pearson import equivalence_test, multinomial_power_mc, power_equivalence, \
-    power_lack_of_fit
+from gofevid.model_fit import evidence_for_poisson, poisson_evidence_rows, poisson_mle
+from gofevid.pearson import CellData, equivalence_test, multinomial_power_mc, pearson_stats, \
+    power_equivalence, power_lack_of_fit
 
 NAN, INF = math.nan, math.inf
 P = EquivalenceParams(5, 12)
@@ -61,3 +64,45 @@ CASES = [
 def test_bad_parameter_raises_owner_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+FLOATS = r"counts must be nonnegative integers, got dtype float64"
+TABLE = [1, 2, 3]
+BAD_COUNTS = [
+    # (name, a 1-d table, the message's rule); 2-d entry points get it as one row
+    ("2.99999", [2.99999, 3, 4], FLOATS),  # the float path once truncated this to n = 9
+    ("3.0", [3.0, 3, 4], FLOATS),
+    ("nan", [NAN, 3, 4], FLOATS),
+    ("inf", [INF, 3, 4], FLOATS),  # poisson_mle once returned nan
+    ("1e19", [1e19, 3, 4], FLOATS),
+    ("negative", [-1, 3, 4], "counts must be nonnegative integers, got -1"),
+    ("empty", [], None),
+    ("zero-total", [0, 0, 0], "total count must be positive"),
+    ("wrong-ndim", None, None),
+]
+COUNT_ENTRIES = [  # (name, ndim, call)
+    ("CellData", 1, lambda c: CellData(counts=c, null_probs=[1 / 3] * 3)),
+    ("poisson_mle", 1, poisson_mle),
+    ("evidence_for_poisson", 1, evidence_for_poisson),
+    ("pearson_stats", 2, lambda c: pearson_stats(c, [1 / 3] * 3)),
+    ("poisson_evidence_rows", 2, poisson_evidence_rows),
+]
+SHAPES = {1: "1-d", 2: r"\(rows, cells\)"}
+
+
+def _count_case(ndim, table, message):
+    shape_message = f"counts must be a nonempty {SHAPES[ndim]} array"
+    if table is None:  # a valid table given with the other number of axes
+        return (TABLE if ndim == 2 else [TABLE]), shape_message
+    return (table if ndim == 1 else [table]), message or shape_message
+
+
+COUNT_CASES = [(call, *_count_case(ndim, table, message))
+               for _, ndim, call in COUNT_ENTRIES for _, table, message in BAD_COUNTS]
+
+
+@pytest.mark.parametrize("call, counts, message", COUNT_CASES,
+                         ids=[f"{e}-{b}" for e, _, _ in COUNT_ENTRIES for b, _, _ in BAD_COUNTS])
+def test_bad_counts_raise_check_counts_message(call, counts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(counts)

@@ -8,7 +8,8 @@ import scipy
 
 import oracles
 from gofevid import __version__
-from gofevid.dist import FAMILIES, ChiSqParams, RandomStream, count_pmf, sample_chisq, sample_family
+from gofevid.dist import FAMILIES, ChiSqParams, RandomStream, count_pmf, count_support, \
+    sample_chisq, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
 from gofevid import pearson, sim
@@ -168,6 +169,16 @@ class TestRunPoissonTable:
         run_scenario(config, out_dir=tmp_path / "w2", workers=2)
         for name in ("poisson_fit_table.csv", "poisson_fit_table.json"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+    def test_each_law_support_found_once(self):
+        # SimConfig bounds each law's width; the run's count_pmf reuses that support
+        count_support.cache_clear()
+        config = SimConfig(scenario="poisson_fit_table", reps=100, seed=57,
+                           params={"dists": [["poisson", 5], ["neg_binomial", 20, 0.01]],
+                                   "n_list": [100]})
+        run_scenario(config)
+        info = count_support.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
     def test_poisson_5_6400_cell(self):
         (row,) = run_poisson_table((("poisson", 5),), (6400,), reps=2000, seed=53)
