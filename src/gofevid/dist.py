@@ -3,10 +3,11 @@ streams, and the checks of probability vectors, degrees of freedom,
 noncentralities and probability levels.
 
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
-``chndtrix``.  Random streams are counter-based (Philox keyed by
-(seed, stream_id)), so distinct ids give independent streams whatever the
-order in which they are drawn.  A fit-table cell draws all its replications
-from its own stream, row after row (stream layout 4).
+``chndtrix``.  A random stream is an SFC64 generator seeded by
+``SeedSequence`` hashing of the fixed-width key (seed, stream_id) (stream
+layout 5), so distinct ids give independent streams whatever the order in
+which they are drawn.  A fit-table cell draws all its replications from its
+own stream, row after row (stream layout 4).
 ``sample_chisq`` draws a noncentral chi-squared with nu >= 1 as a shifted
 normal squared plus a central remainder (stream layout 3).
 """
@@ -34,15 +35,21 @@ __all__ = [
     "count_pmf",
 ]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
 class RandomStream:
     """A reproducible random source identified by (seed, stream_id).
 
-    Distinct stream_ids under one seed give statistically independent
-    sequences.  A stream is single-owner: do not share one instance between
-    threads; give each work unit its own stream_id instead.
+    The generator is SFC64 seeded by ``SeedSequence`` over the key's four
+    32-bit words (seed low, seed high, stream_id low, stream_id high).  The
+    hashing makes distinct stream_ids under one seed statistically
+    independent sequences; the fixed width keeps distinct keys distinct,
+    which a variable-width ``SeedSequence([seed, stream_id])`` does not
+    (it packs (5 + 7 * 2**32, 3) and (5, 7 + 3 * 2**32) alike).  A stream is
+    single-owner: do not share one instance between threads; give each work
+    unit its own stream_id instead.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")
@@ -59,8 +66,9 @@ class RandomStream:
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            words = [self.seed & _MASK32, self.seed >> 32,
+                     self.stream_id & _MASK32, self.stream_id >> 32]
+            self._gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
         return self._gen
 
     def __repr__(self) -> str:

@@ -9,8 +9,8 @@ The binning, tail-cell combining and statistic work on rows of a 2-d array,
 so ``normality_evidence_rows`` and ``poisson_evidence_rows`` fit a batch of
 replications at once.  The report functions run the same fit (``_normal_fit``,
 ``_poisson_groups``) on a one-row array and read row 0: the cells, mu_hat and
-S come from the arrays and the ``pearson_stats`` call the rows path uses, so
-the values are bit-identical and no count array is checked twice.
+S come from the arrays and the statistic call the rows path uses, so the
+values are bit-identical and no count array is checked twice.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .boundary import lambda0_uniform
 from .dist import normal_quantile
 from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
     evidence_for_equivalence, max_expected_evidence
-from .pearson import check_counts, pearson_stats
+from .pearson import _pearson, check_counts, pearson_stats
 
 __all__ = [
     "NormalFitReport",
@@ -298,6 +298,11 @@ def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
     (rows, r0, r, probs, counts, S, params) holds the rows sharing one
     combined-cell layout.  Raises UndefinedFit for the first row whose fit is
     undefined: mu_hat = 0, or fewer than 3 cells after combining.
+
+    S is computed without ``pearson_stats``' checks: the counts are checked
+    already, and the combined cells each expect at least 5, so the floor on
+    user-given cell probabilities does not apply (at n = 1e14 a cell of
+    probability 8e-13 is a valid cell).
     """
     n = int(totals[0])
     if np.any(totals != n):
@@ -318,7 +323,8 @@ def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
         probs = _cell_probs(cdf[rows], g_r0 - lo, g_r)
         counts = _fold_counts(tables[rows], g_r0, g_r)
         params = EquivalenceParams(nu=float(g_r - 2), lambda0=lambda0_uniform(n, g_r, k))
-        groups.append((rows, g_r0, g_r, probs, counts, pearson_stats(counts, probs), params))
+        s_stat = _pearson(counts, probs, totals[rows])
+        groups.append((rows, g_r0, g_r, probs, counts, s_stat, params))
     return mu, groups
 
 

@@ -162,6 +162,8 @@ def multinomial_power_mc(
     stream's generator, made in blocks of rows, so the estimate is
     independent of how the replications are blocked (stream layout 4).
     """
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if reps < MIN_POWER_REPS:
         raise ValueError(f"reps must be at least {MIN_POWER_REPS}")
     true_probs = np.asarray(true_probs, dtype=float)

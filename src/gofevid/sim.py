@@ -2,8 +2,9 @@
 
 Every scenario is reproducible from (config, seed): each grid point, table
 cell or Table 1 row draws from the stream keyed by its position,
-``RandomStream(seed, index)``.  Only the calibration grid points run on
-threads; a table cell is one sequence of draws from one stream, so the
+``RandomStream(seed, index)``, an SFC64 generator seeded by ``SeedSequence``
+hashing of that key (stream layout 5).  Only the calibration grid points run
+on threads; a table cell is one sequence of draws from one stream, so the
 tables run in the calling thread.  Output is byte-identical for any worker
 count.
 
@@ -75,8 +76,9 @@ MAX_TABLE_N = 10_000_000  # largest sample size a fit-table cell or table1_model
 # 2: count-table replications draw their frequency table as one multinomial;
 # 3: a calibration grid point draws chi2(nu, lam), nu >= 1, as a shifted normal
 #    squared plus a central remainder, in blocks of VST_BLOCK replications;
-# 4: replication i of a fit-table cell or Table 1 row is row i of its stream
-STREAM_LAYOUT = 4
+# 4: replication i of a fit-table cell or Table 1 row is row i of its stream;
+# 5: every stream is SFC64 seeded by SeedSequence hashing of (seed, index), not Philox
+STREAM_LAYOUT = 5
 VST_BLOCK = 2**16  # replications a calibration grid point draws and transforms at once
 
 

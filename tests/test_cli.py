@@ -10,6 +10,7 @@ import pytest
 
 from gofevid import cli
 from gofevid.cli import MAX_COUNT, MAX_COUNT_VALUE, main
+from gofevid.dist import RandomStream, count_pmf
 
 
 def run_cli(capsys, *argv):
@@ -294,14 +295,23 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mu,cause", [
         (0.001, "every observed value is 0, so mu_hat = 0"),
-        (0.05, "tail-cell combining left r = 1 cells at mu_hat = 0.01"),
+        (0.05, "tail-cell combining left r = {r} cells at mu_hat = {mu_hat:g}"),
     ])
     def test_undefined_poisson_fit_names_replication(self, capsys, tmp_path, mu, cause):
+        # the cell's replications are the rows of RandomStream(0, 0); keeping 3 cells
+        # needs 100 P(X >= 2) >= 5, so mu_hat > 0.35, and at these means every
+        # replication is undefined: the error names the first
+        tables = RandomStream(0, 0).gen.multinomial(100, count_pmf("poisson", mu), size=100)
+        mu_hat = tables @ np.arange(tables.shape[1]) / 100
+        assert mu_hat.max() < 0.3
+        assert (mu_hat[0] == 0) == cause.startswith("every")
+        r = 1 if 100 * -math.expm1(-mu_hat[0]) < 5 else 2  # cells {0}, or {0} and {1, 2, ...}
         params = json.dumps({"dists": [["poisson", mu]], "n_list": [100]})
         code, _, err = run_cli(capsys, "simulate", "--scenario", "poisson_fit_table",
                                "--reps", "100", "--seed", "0", "--out", str(tmp_path),
                                "--params", params)
         assert code == 1
+        cause = cause.format(r=r, mu_hat=mu_hat[0])
         assert f"cell ['poisson', {mu}], n = 100, replication 0: {cause}" in err
 
     def test_huge_n_rejected_before_allocating(self, capsys, tmp_path):

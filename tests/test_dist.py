@@ -170,6 +170,14 @@ class TestRandomStream:
         for other in (RandomStream(4, 6), RandomStream(5, 5), RandomStream(5, 4)):
             assert not np.array_equal(other.gen.standard_normal(8), a)
 
+    def test_wide_keys_stay_distinct(self):
+        # SeedSequence([seed, stream_id]) packs both of these into the words 5, 7, 3
+        a = RandomStream(5 + 7 * 2**32, 3).gen.standard_normal(8)
+        b = RandomStream(5, 7 + 3 * 2**32).gen.standard_normal(8)
+        assert not np.array_equal(a, b)
+        top = RandomStream(2**64 - 1, 2**64 - 1).gen.standard_normal(8)
+        assert not np.array_equal(top, RandomStream(2**64 - 1, 2**32 - 1).gen.standard_normal(8))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomStream(-1)

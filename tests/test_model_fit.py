@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import special, stats
 
 import oracles
 from gofevid import cli, model_fit
@@ -260,6 +260,30 @@ class TestEvidenceForPoisson:
         # 12 observations all equal to 3: combining leaves r = 2, so nu = r - 2 = 0
         with pytest.raises(ValueError, match=r"r = 2 cells.*at least 3"):
             evidence_for_poisson(np.array([0, 0, 0, 12]))
+
+    def test_cells_below_the_user_probability_floor(self):
+        # 1e14 observations of Poisson(5): the tail cells the pipeline builds have
+        # probabilities below the 1e-12 floor on user-given null probabilities, yet
+        # each expects at least 5
+        table = np.rint(1e14 * stats.poisson.pmf(np.arange(60), 5)).astype(np.int64)
+        rep = evidence_for_poisson(table)
+        n = int(table.sum())
+        assert rep.n == n and rep.comb_probs.min() < 1e-12
+        assert np.all(n * rep.comb_probs >= 5.0)
+        # S from scipy.stats' Poisson law and exact integer sums, cell by cell
+        mu = sum(k * int(c) for k, c in enumerate(table)) / n
+        first, last = rep.r0 + 1, rep.r0 + rep.r  # cells {X <= first}, ..., {X >= last}
+        probs = [stats.poisson.cdf(first, mu), *stats.poisson.pmf(np.arange(first + 1, last), mu),
+                 stats.poisson.sf(last - 1, mu)]
+        counts = [int(table[: first + 1].sum()), *table[first + 1 : last].tolist(),
+                  int(table[last:].sum())]
+        s = math.fsum((o - n * p) ** 2 / (n * p) for o, p in zip(counts, probs))
+        assert rep.mu_hat == pytest.approx(mu, rel=1e-14)
+        assert rep.comb_counts.tolist() == counts
+        # the pipeline takes the last cell as 1 - P(X <= last - 1): its rounding error
+        # of about 1e-16 is 2e-4 of that cell's 8e-13 and moves S by about 4e-4
+        assert np.allclose(rep.comb_probs, probs, rtol=0, atol=1e-15)
+        assert rep.s_stat == pytest.approx(s, abs=1e-3)
 
     def test_to_dict_keeps_field_order(self):
         # the CLI's csv columns follow this order

@@ -1,12 +1,15 @@
 """Every public entry point that takes nu, lam, lambda0 or a test level
 rejects NaN, +-inf and out-of-range values with the message of the one
 check that owns the rule (``dist.check_nu``, ``check_lam``, ``check_level``
-and the lambda0 rule of ``EquivalenceParams``).  Every entry point that takes
+and the lambda0 rule of ``EquivalenceParams``).  ``multinomial_power_mc``
+takes only an integer sample size n >= 1.  Every entry point that takes
 cell counts rejects float (even whole-valued), negative, empty, zero-total
 and wrongly shaped counts with the message of ``pearson.check_counts``."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from gofevid.dist import ChiSqParams, RandomStream, chisq_quantile, normal_quantile
@@ -64,6 +67,19 @@ CASES = [
 def test_bad_parameter_raises_owner_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("n", [100.7, 100.0, True, False, 0, -3, np.int64(-3), "100", None],
+                         ids=repr)
+def test_power_mc_rejects_bad_n(n):
+    # numpy's multinomial would truncate 100.7 to 100 and draw n = True as 1
+    with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {re.escape(repr(n))}$"):
+        multinomial_power_mc(RandomStream(1), n, UNIFORM, UNIFORM, 0.05, 1000)
+
+
+def test_power_mc_takes_numpy_integer_n():
+    est = multinomial_power_mc(RandomStream(1), np.int64(100), UNIFORM, UNIFORM, 0.05, 1000)
+    assert est == _power_mc(0.05)
 
 
 FLOATS = r"counts must be nonnegative integers, got dtype float64"

@@ -371,37 +371,37 @@ class TestStreamLayout4:
 
 
 class TestGeneratorsPerBlock:
-    """The blocks of stacked replications of one cell share one bit
-    generator, however many blocks the cell draws."""
+    """The blocks of stacked replications of one cell share one generator,
+    however many blocks the cell draws, whatever its bit generator."""
 
     @pytest.fixture
-    def philox_builds(self, monkeypatch):
+    def generator_builds(self, monkeypatch):
         monkeypatch.setattr(pearson, "CHUNK_VALUES", 1 << 14)  # several blocks per case
         built = []
-        philox = np.random.Philox
+        generator = np.random.Generator
 
         def counting(*args, **kwargs):
             built.append(1)
-            return philox(*args, **kwargs)
+            return generator(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(np.random, "Generator", counting)
         return built
 
-    def test_normal_table(self, philox_builds):
+    def test_normal_table(self, generator_builds):
         run_normal_table(("normal",), (1600,), reps=40, seed=1)
         assert len(row_blocks(0, 40, 1600)) == 4
-        assert len(philox_builds) == 1
+        assert len(generator_builds) == 1
 
-    def test_poisson_table(self, philox_builds):
+    def test_poisson_table(self, generator_builds):
         run_poisson_table((("poisson", 5),), (100,), reps=2000, seed=1)
         assert len(row_blocks(0, 2000, len(count_pmf("poisson", 5)))) == 5
-        assert len(philox_builds) == 1
+        assert len(generator_builds) == 1
 
-    def test_multinomial_power_mc(self, philox_builds):
+    def test_multinomial_power_mc(self, generator_builds):
         probs = np.full(6, 1.0 / 6)
         multinomial_power_mc(RandomStream(1, 0), 100, probs, probs, 0.05, 6000)
         assert len(row_blocks(0, 6000, 6)) == 3
-        assert len(philox_builds) == 1
+        assert len(generator_builds) == 1
 
 
 def test_results_independent_of_block_size(monkeypatch):
@@ -476,7 +476,7 @@ class TestRunScenario:
         config = SimConfig(scenario="table1_models", reps=1000, seed=6)
         run_scenario(config, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 4
+        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 5
         assert manifest["versions"] == {"gofevid": __version__, "numpy": np.__version__,
                                         "scipy": scipy.__version__}
 
