@@ -254,12 +254,18 @@ def _cell_bounds(n: int, cdf: np.ndarray, lo: int, top: int):
     return r0, last
 
 
-def _cell_probs(cdf: np.ndarray, r0: int, r: int) -> np.ndarray:
-    """Combined-cell probabilities, one row per CDF row; r0 counts from cdf's first column."""
+def _cell_probs(cdf: np.ndarray, lo: int, r0: int, r: int, mu: np.ndarray) -> np.ndarray:
+    """Combined-cell probabilities of the layout (r0, r), one row per mu.
+
+    cdf[:, j] = P(X <= lo + j) at the row's mu.  The last cell P(X >= r0 + r)
+    is the upper tail ``pdtrc`` itself: 1 - P(X <= r0 + r - 1) would lose its
+    relative precision when the cell is tiny.
+    """
+    j = r0 - lo
     probs = np.empty((len(cdf), r))
-    probs[:, 0] = cdf[:, r0 + 1]
-    probs[:, 1 : r - 1] = np.diff(cdf[:, r0 + 1 : r0 + r], axis=1)
-    probs[:, r - 1] = 1.0 - cdf[:, r0 + r - 1]
+    probs[:, 0] = cdf[:, j + 1]
+    probs[:, 1 : r - 1] = np.diff(cdf[:, j + 1 : j + r], axis=1)
+    probs[:, r - 1] = special.pdtrc(r0 + r - 1, mu)
     return probs
 
 
@@ -283,11 +289,12 @@ def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    r0, r, lo, cdf = _tail_cells(n, np.array([float(mu)]))
+    mus = np.array([float(mu)])
+    r0, r, lo, cdf = _tail_cells(n, mus)
     r0, r = int(r0[0]), int(r[0])
     if r < 2:
         raise ValueError(f"n = {n} is too small for mu = {mu}: fewer than 2 cells remain")
-    return r0, r, _cell_probs(cdf, r0 - lo, r)[0]
+    return r0, r, _cell_probs(cdf, lo, r0, r, mus)[0]
 
 
 def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
@@ -320,7 +327,7 @@ def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
     groups = []
     for g_r0, g_r in sorted(set(zip(r0.tolist(), r.tolist()))):
         rows = np.flatnonzero((r0 == g_r0) & (r == g_r))
-        probs = _cell_probs(cdf[rows], g_r0 - lo, g_r)
+        probs = _cell_probs(cdf[rows], lo, g_r0, g_r, mu[rows])
         counts = _fold_counts(tables[rows], g_r0, g_r)
         params = EquivalenceParams(nu=float(g_r - 2), lambda0=lambda0_uniform(n, g_r, k))
         s_stat = _pearson(counts, probs, totals[rows])

@@ -6,8 +6,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
-from .dist import ChiSqParams, RandomStream, check_level, check_probs, chisq_cdf, chisq_quantile
+from .dist import RandomStream, check_lam, check_level, check_nu, check_probs
 from .evidence import EquivalenceParams
 
 __all__ = [
@@ -105,17 +106,24 @@ def pearson_stats(counts, null_probs) -> np.ndarray:
 
 
 def power_lack_of_fit(alpha: float, nu: float, lam: float) -> float:
-    """P(S >= c) for S ~ chi2(nu, lam), c the central 1-alpha quantile."""
+    """P(S >= c) for S ~ chi2(nu, lam), c the level-alpha critical value.
+
+    c = chdtri(nu, alpha) is the central chi2(nu) upper-alpha quantile, found
+    from the upper tail itself: inverting the CDF at 1 - alpha would lose
+    alpha's relative precision.  ``multinomial_power_mc`` uses the same c.
+    """
     check_level(alpha, "alpha")
-    c = chisq_quantile(1.0 - alpha, ChiSqParams(nu, 0.0))
-    return 1.0 - chisq_cdf(c, ChiSqParams(nu, lam))
+    check_nu(nu)
+    check_lam(lam)
+    return 1.0 - float(special.chndtr(special.chdtri(nu, alpha), nu, lam))
 
 
 def power_equivalence(alpha: float, params: EquivalenceParams, lam: float) -> float:
     """P(S <= c_alpha) for S ~ chi2(nu, lam), c_alpha the alpha quantile at lambda0."""
     check_level(alpha, "alpha")
-    c = chisq_quantile(alpha, ChiSqParams(params.nu, params.lambda0))
-    return chisq_cdf(c, ChiSqParams(params.nu, lam))
+    check_lam(lam)
+    c = special.chndtrix(alpha, params.nu, params.lambda0)
+    return float(special.chndtr(c, params.nu, lam))
 
 
 @dataclass(frozen=True)
@@ -134,10 +142,16 @@ class EquivalenceDecision:
 def equivalence_test(s: float, params: EquivalenceParams, alpha: float) -> EquivalenceDecision:
     """Reject non-equivalence iff s <= the alpha quantile of chi2(nu, lambda0)."""
     check_level(alpha, "alpha")
-    c = chisq_quantile(alpha, ChiSqParams(params.nu, params.lambda0))
+    c = float(special.chndtrix(alpha, params.nu, params.lambda0))
     decision = "reject_nonequivalence" if s <= c else "retain"
     return EquivalenceDecision(decision=decision, s=float(s), critical_value=c,
                                alpha=alpha, params=params)
+
+
+def _check_whole(value, name: str, low: int) -> None:
+    """Reject anything but a Python or numpy integer >= low; bools fail."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -162,10 +176,8 @@ def multinomial_power_mc(
     stream's generator, made in blocks of rows, so the estimate is
     independent of how the replications are blocked (stream layout 4).
     """
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if reps < MIN_POWER_REPS:
-        raise ValueError(f"reps must be at least {MIN_POWER_REPS}")
+    _check_whole(n, "n", 1)
+    _check_whole(reps, "reps", MIN_POWER_REPS)
     true_probs = np.asarray(true_probs, dtype=float)
     null_probs = np.asarray(null_probs, dtype=float)
     if true_probs.shape != null_probs.shape:
@@ -174,7 +186,7 @@ def multinomial_power_mc(
     check_probs(true_probs, "true_probs")
     check_level(alpha, "alpha")
     r = len(null_probs)
-    c = chisq_quantile(1.0 - alpha, ChiSqParams(r - 1, 0.0))
+    c = float(special.chdtri(r - 1, alpha))  # power_lack_of_fit's critical value
 
     gen = stream.gen
     hits = 0

@@ -123,11 +123,16 @@ class SimConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {clip_repr(self.scenario)}; "
                              f"choose from {tuple(SCENARIOS)}")
+        if not _is_int(self.reps):
+            raise ValueError(f"reps must be an integer, got {clip_repr(self.reps)}")
         min_reps = MIN_POWER_REPS if self.scenario == "table1_models" else 100
         if self.reps < min_reps:
             raise ValueError(f"reps must be at least {min_reps}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {clip_repr(self.seed)}")
+        # plain ints, so that the manifest can write numpy integers as JSON
+        object.__setattr__(self, "reps", int(self.reps))
+        object.__setattr__(self, "seed", int(self.seed))
         _validate_params(self.scenario, self.params)
 
 

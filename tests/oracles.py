@@ -5,7 +5,9 @@ gamma here is a hand-rolled series / continued fraction, the normal CDF goes
 through math.erfc, the evidence transforms are written out again from the
 paper's definitions, moments under chi2(nu, lam) are Gauss-Legendre
 quadrature against scipy.stats densities, and the divergence oracle is plain
-trapezoid summation on a fine fixed grid.  The Poisson tail-cell layout is
+trapezoid summation on a fine fixed grid.  The noncentral chi-squared
+upper tail and the central critical value are mpmath's incomplete gamma at 40
+digits, summed over the Poisson mixture.  The Poisson tail-cell layout is
 the full-width evaluation the library's bracketed window must reproduce
 byte for byte, so it shares the library's ``pdtr`` values on purpose.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import special, stats
 
@@ -84,6 +87,33 @@ def central_chisq_quantile(p: float, nu: float) -> float:
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+def _upper_gamma(a, x):
+    return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+
+
+def chisq_critical_mp(alpha: float, nu: float):
+    """The c with P(chi2(nu) >= c) = alpha, as a 40-digit mpmath number."""
+    with mpmath.workdps(40):
+        return mpmath.findroot(lambda c: _upper_gamma(0.5 * mpmath.mpf(nu), c / 2) - alpha,
+                               special.chdtri(nu, alpha))
+
+
+def ncx2_sf_mp(x, nu: float, lam: float) -> float:
+    """P(chi2(nu, lam) >= x) as the Poisson(lam/2) mixture of central upper
+    tails, summed at 40 digits until the terms past the mode fall below 1e-35
+    of the total."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(lam) / 2
+        total, k = mpmath.mpf(0), 0
+        while True:
+            weight = mpmath.exp(k * mpmath.log(half) - half - mpmath.loggamma(k + 1)) if lam else 1
+            term = weight * _upper_gamma(0.5 * mpmath.mpf(nu) + k, mpmath.mpf(x) / 2)
+            total += term
+            if lam == 0 or (k > half and term < total * mpmath.mpf(10) ** -35):
+                return float(total)
+            k += 1
 
 
 def normal_cdf(x: float) -> float:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gofevid
@@ -36,3 +37,32 @@ def test_scipy_integrate_loads_only_for_J():
     lines = out.splitlines()
     assert lines[-2] == "[False, False]"
     assert float(lines[-1]) == pytest.approx(0.8187850131043298, rel=1e-12)
+
+
+
+def test_report_and_power_calls_leave_scipy_stats_and_integrate_unloaded(tmp_path):
+    # scipy.integrate adds about 25 MB of resident memory and scipy.stats about
+    # 45 MB; the reports and the power, test and sample-size calls need neither
+    data = tmp_path / "normal500.txt"
+    data.write_text("\n".join(map(repr, np.random.default_rng(1).normal(size=500).tolist())))
+    commands = [["evidence-lof", "--fixture", "die"], ["evidence-equiv", "--fixture", "die"],
+                ["samplesize", "--m0", "3.3", "--r", "6"], ["fit-poisson", "--fixture", "alpha"],
+                ["fit-normal", str(data)]]
+    out = _run_fresh(
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "import gofevid as G\n"
+        "from gofevid import cli\n"
+        f"for command in {commands!r}:\n"
+        "    for fmt in ('text', 'json', 'csv'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert cli.main(command + ['-f', fmt]) == 0, command\n"
+        "p = G.EquivalenceParams(5.0, 12.0)\n"
+        "G.power_lack_of_fit(0.05, 5.0, 13.5)\n"
+        "G.power_equivalence(0.05, p, 1.0)\n"
+        "G.equivalence_test(1.0, p, 0.05)\n"
+        "G.sample_size(3.3, 5.0, 6, 0.5)\n"
+        "G.chisq_cdf(np.linspace(0.0, 40.0, 200), G.ChiSqParams(5.0, 12.0))\n"
+        "G.chisq_density(np.linspace(0.1, 40.0, 200), G.ChiSqParams(5.0, 12.0))\n"
+        "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])\n")
+    assert out.splitlines()[-1] == "[False, False]"

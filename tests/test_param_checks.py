@@ -2,7 +2,7 @@
 rejects NaN, +-inf and out-of-range values with the message of the one
 check that owns the rule (``dist.check_nu``, ``check_lam``, ``check_level``
 and the lambda0 rule of ``EquivalenceParams``).  ``multinomial_power_mc``
-takes only an integer sample size n >= 1.  Every entry point that takes
+takes only an integer sample size n >= 1 and integer reps >= 1000.  Every entry point that takes
 cell counts rejects float (even whole-valued), negative, empty, zero-total
 and wrongly shaped counts with the message of ``pearson.check_counts``."""
 
@@ -79,6 +79,20 @@ def test_power_mc_rejects_bad_n(n):
 
 def test_power_mc_takes_numpy_integer_n():
     est = multinomial_power_mc(RandomStream(1), np.int64(100), UNIFORM, UNIFORM, 0.05, 1000)
+    assert est == _power_mc(0.05)
+
+
+@pytest.mark.parametrize("reps", [1000.5, 2000.0, True, 999, np.int64(999), "1000", None],
+                         ids=repr)
+def test_power_mc_rejects_bad_reps(reps):
+    # a float once reached range() and failed there with a TypeError
+    with pytest.raises(ValueError,
+                       match=f"^reps must be an integer >= 1000, got {re.escape(repr(reps))}$"):
+        multinomial_power_mc(RandomStream(1), 100, UNIFORM, UNIFORM, 0.05, reps)
+
+
+def test_power_mc_takes_numpy_integer_reps():
+    est = multinomial_power_mc(RandomStream(1), 100, UNIFORM, UNIFORM, 0.05, np.int64(1000))
     assert est == _power_mc(0.05)
 
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+import oracles
 from gofevid.boundary import euclid_d, lambda0_uniform, least_divergent_point
-from gofevid.dist import ChiSqParams, RandomStream, sample_chisq
+from gofevid.dist import ChiSqParams, RandomStream, chisq_cdf, chisq_quantile, sample_chisq
 from gofevid.evidence import EquivalenceParams
 from gofevid.pearson import (
     CellData,
@@ -128,6 +130,25 @@ class TestPowerLackOfFit:
         vals = [power_lack_of_fit(0.05, 5, lam) for lam in (0, 5, 13.5, 30)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-10, 1e-12])
+    def test_matches_mpmath(self, alpha):
+        # the critical value comes from the upper tail, so a small alpha keeps its
+        # relative precision (inverting the CDF at 1 - alpha gave 4.9e-12 at
+        # alpha = 1e-6 and 1e-6 at 1e-12); the power is 1 - CDF, good to about
+        # 1e-16 / power, so every point here has power above 1e-3
+        for nu in (1, 5, 14):
+            c = oracles.chisq_critical_mp(alpha, nu)
+            for lam in (30.0, 60.0):
+                want = oracles.ncx2_sf_mp(c, nu, lam)
+                assert want > 1e-3
+                assert power_lack_of_fit(alpha, nu, lam) == pytest.approx(want, rel=1e-12)
+
+    def test_critical_value_shared_with_monte_carlo(self):
+        est = multinomial_power_mc(RandomStream(0), 100, U6, U6, 1e-6, 1000)
+        assert est.critical_value == special.chdtri(5, 1e-6)
+        assert 1.0 - chisq_cdf(est.critical_value, ChiSqParams(5, 13.5)) == \
+            power_lack_of_fit(1e-6, 5, 13.5)
+
 
 class TestPowerEquivalence:
     def test_size_at_boundary(self):
@@ -138,6 +159,15 @@ class TestPowerEquivalence:
         params = EquivalenceParams(5, 12)
         vals = [power_equivalence(0.05, params, lam) for lam in (0.0, 6.0, 12.0)]
         assert vals[0] > vals[1] > vals[2]
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-6])
+    def test_equals_the_public_quantile_and_cdf(self, alpha):
+        for nu, lambda0 in ((1.0, 12.0), (5.0, 12.0), (14.0, 200.0)):
+            params = EquivalenceParams(nu, lambda0)
+            c = chisq_quantile(alpha, ChiSqParams(nu, lambda0))
+            for lam in (0.0, 1.0, 12.0, 60.0):
+                assert power_equivalence(alpha, params, lam) == chisq_cdf(c, ChiSqParams(nu, lam))
+            assert equivalence_test(c, params, alpha).critical_value == c
 
     def test_matches_mc(self):
         params = EquivalenceParams(5, 12)

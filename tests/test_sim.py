@@ -275,6 +275,27 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="JSON object"):
             SimConfig(scenario="table1_models", reps=1000, seed=0, params=5)
 
+    @pytest.mark.parametrize("reps", [1000.0, 1000.5, True, "1000", None], ids=repr)
+    def test_reps_must_be_an_integer(self, reps):
+        with pytest.raises(ValueError, match="^reps must be an integer, got "):
+            SimConfig("normal_fit_table", reps, 1)
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1", None, -1, 2**64], ids=repr)
+    def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
+        # seed=1.7 once drew from stream seed 1 while the manifest recorded 1.7
+        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer, got "):
+            SimConfig("normal_fit_table", 1000, seed)
+
+    def test_numpy_integers_stored_as_int(self, tmp_path):
+        # np.int64 reps or seed once ran the scenario and then failed writing the manifest
+        config = SimConfig("vst_lof_calibration", np.int64(100), np.uint64(2**64 - 1),
+                           {"lambda_grid": [1.0]})
+        assert type(config.reps) is int and type(config.seed) is int
+        assert config == SimConfig("vst_lof_calibration", 100, 2**64 - 1, {"lambda_grid": [1.0]})
+        run_scenario(config, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["reps"], manifest["seed"]) == (100, 2**64 - 1)
+
 
 SMALL_PARAMS = {  # one small run of each scenario; the calibration grids have 3 points
     "vst_lof_calibration": {"nu": 5, "lambda_grid": [0, 4.5, 8]},
