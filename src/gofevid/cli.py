@@ -297,13 +297,6 @@ def cmd_fit_poisson(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
@@ -316,7 +309,7 @@ def cmd_simulate(args) -> int:
     out_dir = args.out or os.environ.get("GOFEVID_RESULTS_DIR", "results")
     out = Path(out_dir) / args.scenario
     out.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out fails at once
-    rows = run_scenario(config, out_dir=out, workers=min(args.workers, _usable_cpus()))
+    rows = run_scenario(config, out_dir=out, workers=args.workers)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -382,10 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="results directory (default: results/, or GOFEVID_RESULTS_DIR)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for the calibration grid points, capped at the grid points "
-                        "and the usable CPUs; the tables run on one thread (each cell is "
-                        "one sequence of draws from one stream); output is identical for "
-                        "any value")
+                   help="threads for the scenario's units (grid points, table cells or "
+                        "Table 1 rows), capped at the units and the usable CPUs; output is "
+                        "identical for any value")
     p.add_argument("--params", help="scenario parameters as a JSON object")
     p.set_defaults(fn=cmd_simulate)
 

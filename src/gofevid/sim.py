@@ -3,10 +3,11 @@
 Every scenario is reproducible from (config, seed): each grid point, table
 cell or Table 1 row draws from the stream keyed by its position,
 ``RandomStream(seed, index)``, an SFC64 generator seeded by ``SeedSequence``
-hashing of that key (stream layout 5).  Only the calibration grid points run
-on threads; a table cell is one sequence of draws from one stream, so the
-tables run in the calling thread.  Output is byte-identical for any worker
-count.
+hashing of that key (stream layout 5).  Those grid points, cells and rows are
+a scenario's units: with more than one worker they run on a thread pool that
+outlives the call (one per worker count, at most the usable CPUs), the table
+cells largest first, and the rows come back in input order.  Output is
+byte-identical for any worker count.
 
 A calibration grid point draws its replications from its own stream in blocks
 of VST_BLOCK (``dist.sample_chisq``: for nu >= 1 the block's standard normals,
@@ -27,9 +28,12 @@ layout 1 drew the n values and counted them).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import numbers
+import os
 import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -231,14 +235,47 @@ def _summarize(grid_point: tuple, values: np.ndarray) -> SimSummary:
     return _summary(grid_point, *_moments(values))
 
 
-def _map_units(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items] on at most `workers` threads, never more
-    threads than items; one worker or one item runs inline."""
-    workers = min(workers, len(items))
-    if workers <= 1:
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` threads, started on first use and kept
+    warm: starting a pool per call costs more than a small table's cells."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="gofevid-sim")
+
+
+# a forked child inherits the cached pools but not their threads
+os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def _map_units(fn, items: list, workers: int, size=None) -> list:
+    """[fn(item) for item in items] on at most `workers` threads and at most
+    the usable CPUs; one worker or one item runs inline.
+
+    Items are submitted in decreasing `size(item)` when `size` is given, so
+    the largest start first; results come back in input order.  A failure
+    raises the lowest-index unit's exception and cancels the units not yet
+    started.  A unit must not itself map onto the pool: it would wait for
+    threads its caller holds.
+    """
+    workers = min(workers, _usable_cpus())
+    if min(workers, len(items)) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    pool = _executor(workers)
+    order = sorted(range(len(items)), key=lambda i: -size(items[i])) if size else range(len(items))
+    futures = [None] * len(items)
+    for i in order:
+        futures[i] = pool.submit(fn, items[i])
+    try:
+        return [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, seed: int,
@@ -274,12 +311,18 @@ def run_vst_equiv(nu: float, lambda0: float, lambda_grid, reps: int, seed: int,
                     nu, lambda_grid, reps, seed, workers)
 
 
-def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 4000,
-                     seed: int = 0):
-    """Evidence-for-normality summaries per (family, n) cell."""
-    cells = [(family, int(n)) for family in families for n in n_list]
+def _cell_n(item) -> int:
+    return item[2]
 
-    def unit(idx, family, n):
+
+def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 4000,
+                     seed: int = 0, workers: int = 1):
+    """Evidence-for-normality summaries per (family, n) cell."""
+    cells = [(idx, family, int(n))
+             for idx, (family, n) in enumerate(itertools.product(families, n_list))]
+
+    def unit(item):
+        idx, family, n = item
         name, params = TABLE3[family]
         sampler = FAMILIES[name]
         gen = RandomStream(seed, idx).gen
@@ -288,20 +331,23 @@ def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 
             ts[lo:hi] = normality_evidence_rows(sampler(gen, (hi - lo, n), **params))
         return _summarize((family, n), ts)
 
-    return [unit(idx, *cell) for idx, cell in enumerate(cells)]
+    return _map_units(unit, cells, workers, size=_cell_n)
 
 
 def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
-                      seed: int = 0):
+                      seed: int = 0, workers: int = 1):
     """Evidence-for-Poisson summaries (plus cell-count and m0 columns) per cell.
 
     Each replication draws its frequency table of n counts as one multinomial
     over ``count_pmf(*dist)``; a replication whose fit is undefined stops the
-    run with a ValueError naming the cell and the replication.
+    run with a ValueError naming the cell and the replication; with several
+    such cells, the first in input order is named, at any worker count.
     """
-    cells = [(tuple(dist), int(n)) for dist in dists for n in n_list]
+    cells = [(idx, tuple(dist), int(n))
+             for idx, (dist, n) in enumerate(itertools.product(dists, n_list))]
 
-    def unit(idx, dist, n):
+    def unit(item):
+        idx, dist, n = item
         gen = RandomStream(seed, idx).gen
         pmf = count_pmf(*dist)
         ts = np.empty(reps)
@@ -322,26 +368,29 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
             mean_m0=float(m0s.mean()), sd_m0=float(m0s.std(ddof=1)),
         )
 
-    return [unit(idx, *cell) for idx, cell in enumerate(cells)]
+    return _map_units(unit, cells, workers, size=_cell_n)
 
 
-def run_table1(n: int = 100, alpha: float = 0.05, reps: int = 20000, seed: int = 0):
+def run_table1(n: int = 100, alpha: float = 0.05, reps: int = 20000, seed: int = 0,
+               workers: int = 1):
     """Distance/divergence metrics and simulated power for the reconstructible
     least-divergence model, with a uniform control row."""
     r = 6
     uniform = np.full(r, 1.0 / r)
-    p7 = least_divergent_point(r, 0.15)
-    rows = []
-    for idx, (name, probs) in enumerate([("p7", p7), ("uniform", uniform)]):
+
+    def unit(item):
+        idx, name, probs = item
         est = multinomial_power_mc(RandomStream(seed, idx), n, probs, uniform, alpha, reps)
-        rows.append(Table1Row(
+        return Table1Row(
             model=name,
             d=euclid_d(probs, uniform),
             sup_m=sup_M(probs, uniform),
             j_div=J_uniform(probs, 1),
             power=est.power, power_se=est.se, reps=reps,
-        ))
-    return rows
+        )
+
+    return _map_units(unit, [(0, "p7", least_divergent_point(r, 0.15)), (1, "uniform", uniform)],
+                      workers)
 
 
 SCENARIOS = {  # name -> (runner, default params); a scenario accepts just its defaults' keys
@@ -396,10 +445,8 @@ def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
     """Run one scenario; optionally write CSV + JSON + manifest to out_dir."""
     t0 = time.perf_counter()
     runner, defaults = SCENARIOS[config.scenario]
-    kwargs = {**defaults, **config.params, "reps": config.reps, "seed": config.seed}
-    if "lambda_grid" in defaults:  # calibration grid points are the only threaded units
-        kwargs["workers"] = workers
-    rows = runner(**kwargs)
+    rows = runner(**{**defaults, **config.params, "reps": config.reps, "seed": config.seed,
+                     "workers": workers})
     elapsed = time.perf_counter() - t0
 
     if out_dir is not None:

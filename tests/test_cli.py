@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gofevid import cli
+from gofevid import cli, sim
 from gofevid.cli import MAX_COUNT, MAX_COUNT_VALUE, main
 from gofevid.dist import RandomStream, count_pmf
 
@@ -354,16 +354,21 @@ class TestSimulate:
         assert "--workers" in err
 
     def test_workers_capped_at_usable_cpus(self, capsys, tmp_path, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli, "run_scenario",
-                            lambda config, out_dir, workers: seen.append(workers) or [])
+        units, transform = set(), sim.lof_transform
+
+        def recording(*args, **kwargs):
+            units.add(threading.get_ident())
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "lof_transform", recording)
         threads = threading.active_count()
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "vst_lof_calibration",
-                             "--out", str(tmp_path), "--workers", "1000000")
+                             "--reps", "100", "--out", str(tmp_path), "--workers", "1000000")
         assert code == 0
-        assert seen == [cli._usable_cpus()]
-        assert 1 <= seen[0] <= (os.cpu_count() or 1)
-        assert threading.active_count() == threads
+        cpus = sim._usable_cpus()
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+        assert 1 <= len(units) <= cpus
+        assert threading.active_count() <= threads + cpus  # the kept pool, nothing more
 
     def test_memory_error_exits_1(self, capsys, tmp_path, monkeypatch):
         def out_of_memory(config, out_dir, workers):

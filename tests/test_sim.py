@@ -1,6 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,6 +175,18 @@ class TestRunPoissonTable:
         for name in ("poisson_fit_table.csv", "poisson_fit_table.json"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
+    def test_undefined_fit_named_alike_at_any_workers(self, monkeypatch):
+        # cells 2 and 3 fail; cell 3 (n = 400) is submitted before cell 2
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as exc:
+                run_poisson_table((("poisson", 5), ("poisson", 0.001)), (100, 400), reps=100,
+                                  seed=58, workers=workers)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "cell ['poisson', 0.001], n = 100, replication 0:" in messages[0]
+
     def test_each_law_support_found_once(self):
         # SimConfig bounds each law's width; the run's count_pmf reuses that support
         count_support.cache_clear()
@@ -314,27 +331,93 @@ CSV_HEADERS = {
 }
 
 
+def _unit_threads(monkeypatch) -> set:
+    """The idents of the threads that run calibration units from now on."""
+    threads, transform = set(), sim.lof_transform
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "lof_transform", recording)
+    return threads
+
+
 class TestMapUnits:
     def test_threads_capped_at_units(self, monkeypatch):
-        pools = []
-
-        class Recorder(sim.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+        threads = _unit_threads(monkeypatch)
         assert run_vst_lof(1.0, [0, 1], reps=200, seed=3, workers=4) == \
             run_vst_lof(1.0, [0, 1], reps=200, seed=3, workers=1)
-        assert pools == [2]
+        assert len(threads - {threading.get_ident()}) <= 2
+        threads.clear()
         run_vst_lof(1.0, [0], reps=200, seed=3, workers=4)
-        assert pools == [2]  # a single unit runs inline
-        for scenario in ("normal_fit_table", "poisson_fit_table", "table1_models"):
-            run_scenario(SimConfig(scenario, 1000, 3, SMALL_PARAMS[scenario]), workers=4)
-        assert pools == [2]  # the tables run in the calling thread
-        for scenario in ("vst_lof_calibration", "vst_equiv_calibration"):
-            run_scenario(SimConfig(scenario, 1000, 3, SMALL_PARAMS[scenario]), workers=4)
-        assert pools == [2, 3, 3]  # three grid points each
+        assert threads == {threading.get_ident()}  # a single unit runs inline
+
+    def test_threads_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        threads = _unit_threads(monkeypatch)
+        assert run_vst_lof(1.0, range(8), reps=200, seed=3, workers=8) == \
+            run_vst_lof(1.0, range(8), reps=200, seed=3, workers=1)
+        assert 1 <= len(threads - {threading.get_ident()}) <= 2
+
+    def test_tables_run_on_the_pool_largest_first(self, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        submitted = []
+        with ThreadPoolExecutor(2) as pool:
+            def submit(fn, item):
+                submitted.append(item)
+                return pool.submit(fn, item)
+
+            monkeypatch.setattr(sim, "_executor", lambda workers: SimpleNamespace(submit=submit))
+            for scenario in ("normal_fit_table", "poisson_fit_table", "table1_models"):
+                config = SimConfig(scenario, 1000, 3, SMALL_PARAMS[scenario])
+                assert run_scenario(config, workers=2) == run_scenario(config, workers=1)
+        # cells by decreasing n, in input order within an n; rows come back in input order
+        assert [item[0] for item in submitted] == [1, 3, 0, 2, 1, 3, 0, 2, 0, 1]
+
+    def test_lowest_index_failure_raised_and_rest_cancelled(self, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        started, four_failed, hold = [], threading.Event(), threading.Event()
+
+        def unit(item):
+            started.append(item)
+            if item == 4:  # submitted first, and the first to fail
+                four_failed.set()
+                raise ValueError("unit 4")
+            if item == 0:
+                four_failed.wait(10)
+                raise ValueError("unit 0")
+            hold.wait(10)  # units 1 and 2 hold both threads, so unit 3 waits in the queue
+            raise ValueError(f"unit {item}")
+
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(sim, "_executor", lambda workers: pool)
+            try:
+                with pytest.raises(ValueError, match="unit 0"):
+                    sim._map_units(unit, [0, 1, 2, 3, 4], workers=2, size=lambda item: item == 4)
+            finally:
+                hold.set()
+        assert 3 not in started  # cancelled before it started
+
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_gets_fresh_pools(self, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        run_vst_lof(1.0, [0, 1], reps=200, seed=3, workers=2)  # the parent's pool is warm
+
+        def child():
+            same = (run_vst_lof(1.0, [0, 1, 2], reps=200, seed=4, workers=2)
+                    == run_vst_lof(1.0, [0, 1, 2], reps=200, seed=4, workers=1))
+            os._exit(0 if same else 3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(10)
+            pytest.fail("the forked child hung on the inherited pool")
+        assert proc.exitcode == 0
 
 
 def _recorded_rows(monkeypatch, module, name):
