@@ -258,13 +258,19 @@ def _cell_probs(cdf: np.ndarray, lo: int, r0: int, r: int, mu: np.ndarray) -> np
     """Combined-cell probabilities of the layout (r0, r), one row per mu.
 
     cdf[:, j] = P(X <= lo + j) at the row's mu.  The last cell P(X >= r0 + r)
-    is the upper tail ``pdtrc`` itself: 1 - P(X <= r0 + r - 1) would lose its
-    relative precision when the cell is tiny.
+    is the upper tail ``pdtrc`` itself, and the interior cells run up from the
+    first one, a CDF difference below the upper tail, by the recurrence
+    P(X = v) = P(X = v - 1) mu / v: differences of a CDF near 1 would lose the
+    relative precision of a tiny cell, and the recurrence loses about one
+    rounding per step.
     """
     j = r0 - lo
     probs = np.empty((len(cdf), r))
     probs[:, 0] = cdf[:, j + 1]
-    probs[:, 1 : r - 1] = np.diff(cdf[:, j + 1 : j + r], axis=1)
+    if r > 2:
+        steps = mu[:, None] / np.arange(r0 + 2, r0 + r)
+        steps[:, 0] = cdf[:, j + 2] - cdf[:, j + 1]  # P(X = r0 + 2)
+        probs[:, 1 : r - 1] = np.cumprod(steps, axis=1)
     probs[:, r - 1] = special.pdtrc(r0 + r - 1, mu)
     return probs
 

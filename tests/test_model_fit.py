@@ -136,6 +136,17 @@ class TestCombineCells:
             assert n * probs[0] >= 5.0 and n * probs[-1] >= 5.0
             assert r == len(probs) >= 2
 
+    # scipy.stats' pmf loses about mu * 1e-16 of relative precision, so it is a 1e-12
+    # reference only for moderate mu
+    @pytest.mark.parametrize("n,mu", [(100, 0.7), (1207, 8.367), (10**6, 5.0), (10**14, 5.0),
+                                      (10**14, 37.3), (10**12, 150.0)])
+    def test_cells_match_the_poisson_law(self, n, mu):
+        r0, r, probs = combine_cells_poisson(n, mu)
+        values = np.arange(r0 + 2, r0 + r)
+        ref = [stats.poisson.cdf(r0 + 1, mu), *stats.poisson.pmf(values, mu),
+               stats.poisson.sf(r0 + r - 1, mu)]
+        assert np.allclose(probs, ref, rtol=1e-12, atol=0)
+
     def test_mu_ten_n_6400(self):
         _, r, _ = combine_cells_poisson(6400, 10.0)
         assert r == 20
@@ -281,12 +292,13 @@ class TestEvidenceForPoisson:
         s = math.fsum((o - n * p) ** 2 / (n * p) for o, p in zip(counts, probs))
         assert rep.mu_hat == pytest.approx(mu, rel=1e-14)
         assert rep.comb_counts.tolist() == counts
-        # the last cell is the upper tail itself; the interior cells are differences
-        # of the CDF near 1, whose rounding error of about 1e-16 is up to 1e-4 of a
-        # cell of 1e-12 and moves S by about 5e-5
+        # the last cell is the upper tail itself, and the interior cells come from a
+        # recurrence, so a cell of 1e-12 keeps its relative precision (differences
+        # of the CDF near 1 lost 1e-4 of it)
         assert rep.comb_probs[-1] == pytest.approx(probs[-1], rel=1e-14)
         assert np.allclose(rep.comb_probs, probs, rtol=0, atol=1e-15)
-        assert rep.s_stat == pytest.approx(s, abs=1e-4)
+        assert np.allclose(rep.comb_probs, probs, rtol=1e-12, atol=0)
+        assert rep.s_stat == pytest.approx(s, rel=1e-9)
 
     def test_to_dict_keeps_field_order(self):
         # the CLI's csv columns follow this order
@@ -338,8 +350,9 @@ def _poisson_fit_loop(table, k=0.5):
     r0 = int(np.nonzero(n * cdf >= 5.0)[0][0]) - 1
     sf = np.concatenate([[1.0], 1.0 - cdf[:-1]])
     r = int(np.nonzero(n * sf >= 5.0)[0][-1]) - r0
-    probs = np.concatenate([[cdf[r0 + 1]], np.diff(cdf[r0 + 1 : r0 + r]),
-                            [special.pdtrc(r0 + r - 1, mu)]])
+    # interior cells: P(X = r0 + 2) from the CDF, then P(X = v) = P(X = v - 1) mu / v
+    interior = np.cumprod([cdf[r0 + 2] - cdf[r0 + 1], *(mu / np.arange(r0 + 3, r0 + r))])
+    probs = np.concatenate([[cdf[r0 + 1]], interior, [special.pdtrc(r0 + r - 1, mu)]])
     padded = np.concatenate([table, np.zeros(r0 + r + 1, dtype=table.dtype)])
     counts = np.concatenate([[padded[: r0 + 2].sum()], padded[r0 + 2 : r0 + r],
                              [padded[r0 + r :].sum()]])
