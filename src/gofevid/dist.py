@@ -1,9 +1,11 @@
 """Distribution primitives: normal and (non)central chi-squared, seedable
 streams, and the checks of probability vectors, degrees of freedom,
-noncentralities and probability levels.
+noncentralities, probability levels and statistics.
 
 The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
-``chndtrix``.  A random stream is an SFC64 generator seeded by
+``chndtrix``: the array CDF through the ufunc, the scalar quantile through
+the same C kernel in ``scipy.special.cython_special``, which skips the
+ufunc's dispatch.  A random stream is an SFC64 generator seeded by
 ``SeedSequence`` hashing of the fixed-width key (seed, stream_id) (stream
 layout 5), so distinct ids give independent streams whatever the order in
 which they are drawn.  A fit-table cell draws all its replications from its
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 __all__ = [
     "RandomStream",
@@ -110,6 +113,14 @@ def check_lam(lam, name: str = "lam") -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {lam}")
 
 
+def check_statistic(s) -> None:
+    """Reject a chi-squared statistic that is negative or NaN; an array fails
+    on its first such entry."""
+    ok = s >= 0
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ValueError("statistic s must be nonnegative and not NaN")
+
+
 def check_level(p, name: str) -> None:
     """Reject a probability level outside the open interval (0, 1); NaN fails."""
     if not 0.0 < p < 1.0:
@@ -147,7 +158,7 @@ def chisq_cdf(x, params: ChiSqParams):
 def chisq_quantile(p: float, params: ChiSqParams) -> float:
     """Inverse of chisq_cdf on (0, 1)."""
     check_level(p, "p")
-    return float(special.chndtrix(p, params.nu, params.lam))
+    return cython_special.chndtrix(p, params.nu, params.lam)
 
 
 def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):

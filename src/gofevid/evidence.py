@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import check_lam, check_nu
+from .dist import check_lam, check_nu, check_statistic
 
 __all__ = [
     "Direction",
@@ -73,8 +73,7 @@ def _branch_root(s: np.ndarray, nu: float):
     """(s < nu, the branch's root): sqrt(2 s) below s = nu and sqrt(s - nu/2)
     above, one np.sqrt over the selected arguments.  Rejects a negative or
     NaN statistic."""
-    if not np.all(s >= 0):
-        raise ValueError("statistic s must be nonnegative and not NaN")
+    check_statistic(s)
     lower = s < nu
     return lower, np.sqrt(np.where(lower, 2.0 * s, s - 0.5 * nu))
 

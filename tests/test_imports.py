@@ -26,6 +26,26 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+def test_power_calls_import_nothing():
+    # the scalar chi-squared calls evaluate SciPy's kernels through
+    # scipy.special.cython_special; importing it with the package keeps its
+    # one-off load out of the first power, test or quantile call
+    out = _run_fresh(
+        "import sys, gofevid as G\n"
+        "print('scipy.special.cython_special' in sys.modules)\n"
+        "loaded = set(sys.modules)\n"
+        "p = G.EquivalenceParams(5.0, 12.0)\n"
+        "for lam in (0.0, 1.0, 13.5):\n"
+        "    G.power_lack_of_fit(0.05, 5.0, lam)\n"
+        "    G.power_lack_of_fit(1e-12, 5.0, lam)\n"
+        "    G.power_equivalence(0.05, p, lam)\n"
+        "G.equivalence_test(1.0, p, 0.05)\n"
+        "G.chisq_quantile(0.05, G.ChiSqParams(5.0, 12.0))\n"
+        "G.multinomial_power_mc(G.RandomStream(1), 100, [0.25] * 4, [0.25] * 4, 0.05, 1000)\n"
+        "print(sorted(set(sys.modules) - loaded))\n")
+    assert out.splitlines() == ["True", "[]"]
+
+
 def test_scipy_integrate_loads_only_for_J():
     # scipy.integrate (and the scipy.optimize it pulls in) costs about 0.3 s;
     # only the J quadrature needs it, so it loads at the first J call

@@ -1,7 +1,9 @@
 """Every public entry point that takes nu, lam, lambda0 or a test level
 rejects NaN, +-inf and out-of-range values with the message of the one
 check that owns the rule (``dist.check_nu``, ``check_lam``, ``check_level``
-and the lambda0 rule of ``EquivalenceParams``).  ``multinomial_power_mc``
+and the lambda0 rule of ``EquivalenceParams``); ``equivalence_test`` rejects
+a negative or NaN statistic with the message of ``dist.check_statistic``, as
+the evidence transforms do.  ``multinomial_power_mc``
 takes only an integer sample size n >= 1 and integer reps >= 1000.  Every entry point that takes
 cell counts rejects float (even whole-valued), negative, empty, zero-total
 and wrongly shaped counts with the message of ``pearson.check_counts``."""
@@ -59,6 +61,8 @@ CASES = [
     (lambda: equivalence_test(1, P, 1.0), r"alpha must lie strictly in \(0, 1\), got 1.0"),
     (lambda: _power_mc(NAN), r"alpha must lie strictly in \(0, 1\), got nan"),
     (lambda: _power_mc(-INF), r"alpha must lie strictly in \(0, 1\), got -inf"),
+    (lambda: equivalence_test(-3.0, P, 0.05), "statistic s must be nonnegative and not NaN"),
+    (lambda: equivalence_test(NAN, P, 0.05), "statistic s must be nonnegative and not NaN"),
 ]
 
 

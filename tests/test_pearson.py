@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import special
+from scipy.special import cython_special
 
 import oracles
+from gofevid import pearson
 from gofevid.boundary import euclid_d, lambda0_uniform, least_divergent_point
 from gofevid.dist import ChiSqParams, RandomStream, chisq_cdf, chisq_quantile, sample_chisq
 from gofevid.evidence import EquivalenceParams
@@ -134,14 +136,29 @@ class TestPowerLackOfFit:
     def test_matches_mpmath(self, alpha):
         # the critical value comes from the upper tail, so a small alpha keeps its
         # relative precision (inverting the CDF at 1 - alpha gave 4.9e-12 at
-        # alpha = 1e-6 and 1e-6 at 1e-12); the power is 1 - CDF, good to about
-        # 1e-16 / power, so every point here has power above 1e-3
+        # alpha = 1e-6 and 1e-6 at 1e-12); a power below 1e-3 is summed as a
+        # Poisson mixture of central upper tails (1 - CDF gave 2.2e-5 at
+        # alpha = 1e-12, lam = 0), so powers down to alpha keep it too
         for nu in (1, 5, 14):
             c = oracles.chisq_critical_mp(alpha, nu)
-            for lam in (30.0, 60.0):
+            for lam in (0.0, 1.0, 30.0, 60.0):
                 want = oracles.ncx2_sf_mp(c, nu, lam)
-                assert want > 1e-3
+                assert want > 1e-13
                 assert power_lack_of_fit(alpha, nu, lam) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, nu, lam", [(1e-300, 5, 200.0), (1e-300, 5, 1000.0),
+                                                (1e-100, 0.3, 60.0)])
+    def test_small_powers_far_out(self, alpha, nu, lam):
+        # the series walks out from the Poisson mode; at lam = 200 the power is 2.3e-119
+        c = special.chdtri(nu, alpha)
+        want = oracles.ncx2_sf_mp(c, nu, lam)
+        assert power_lack_of_fit(alpha, nu, lam) == pytest.approx(want, rel=1e-13)
+
+    def test_overflowing_noncentrality_returns(self):
+        # SciPy's chndtr gives NaN at lam = 1e20; the series must not start on
+        # a NaN power, whose stopping rule would never hold
+        power = power_lack_of_fit(0.05, 5, 1e20)
+        assert math.isnan(power) or power == 1.0
 
     def test_critical_value_shared_with_monte_carlo(self):
         est = multinomial_power_mc(RandomStream(0), 100, U6, U6, 1e-6, 1000)
@@ -177,6 +194,93 @@ class TestPowerEquivalence:
         from gofevid.dist import chisq_quantile
         c = chisq_quantile(0.05, ChiSqParams(5, 12))
         assert abs((draws <= c).mean() - want) < 0.01
+
+
+class TestScalarKernels:
+    """The scalar calls use scipy.special.cython_special; its kernels must
+    return the ufuncs' values bit for bit, so no output moves."""
+
+    NUS = (0.3, 1, 2, 5, 14, 50, 300)
+    LAMS = (0, 1e-3, 0.5, 5, 30, 200, 1000)
+    ALPHAS = (1e-12, 1e-6, 0.01, 0.05, 0.5, 0.95)
+
+    def test_equal_to_the_ufuncs(self):
+        points = 0
+        for nu in self.NUS:
+            for alpha in self.ALPHAS:
+                c = special.chdtri(nu, alpha)
+                assert cython_special.chdtri(nu, alpha) == c
+                assert cython_special.chdtrc(nu, c) == special.chdtrc(nu, c)
+                for lam in self.LAMS:
+                    q = special.chndtrix(alpha, nu, lam)
+                    assert cython_special.chndtrix(alpha, nu, lam) == q
+                    assert cython_special.chndtr(c, nu, lam) == special.chndtr(c, nu, lam)
+                    assert cython_special.chndtr(q, nu, lam) == special.chndtr(q, nu, lam)
+                    assert cython_special.chdtrc(nu + 2 * lam, c) == special.chdtrc(nu + 2 * lam, c)
+                    points += 1
+        assert points == 294
+
+
+class TestCriticalValueCache:
+    """Each test's design (alpha, nu[, lambda0]) has one critical value,
+    computed once and shared by the power and test calls."""
+
+    def test_repeated_design_hits_the_cache(self):
+        power_lack_of_fit(0.0123, 7, 1.0)
+        before = pearson._lof_critical.cache_info()
+        power_lack_of_fit(0.0123, 7.0, 3.0)
+        multinomial_power_mc(RandomStream(0), 50, [0.125] * 8, [0.125] * 8, 0.0123, 1000)  # nu = 7
+        after = pearson._lof_critical.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+        params = EquivalenceParams(7.25, 3.5)
+        power_equivalence(0.0123, params, 1.0)
+        before = pearson._equiv_critical.cache_info()
+        power_equivalence(0.0123, params, 2.0)
+        equivalence_test(1.0, params, 0.0123)
+        after = pearson._equiv_critical.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+    @pytest.mark.parametrize("call", [
+        lambda: power_lack_of_fit(math.nan, 5, 1),
+        lambda: power_lack_of_fit(0.05, math.nan, 1),
+        lambda: power_lack_of_fit(1.5, 5, 1),
+        lambda: power_lack_of_fit(0.05, -5, 1),
+        lambda: power_lack_of_fit(0.05, 5, -1),
+        lambda: power_equivalence(math.nan, EquivalenceParams(5, 12), 1),
+        lambda: power_equivalence(0.05, EquivalenceParams(5, 12), math.nan),
+        lambda: power_equivalence(0.05, EquivalenceParams(5, math.nan), 1),
+        lambda: equivalence_test(1.0, EquivalenceParams(5, 12), 0.0),
+        lambda: equivalence_test(1.0, EquivalenceParams(math.inf, 12), 0.05),
+        lambda: multinomial_power_mc(RandomStream(0), 50, U6, U6, math.nan, 1000),
+    ])
+    def test_bad_design_is_never_a_key(self, call):
+        before = pearson._lof_critical.cache_info(), pearson._equiv_critical.cache_info()
+        with pytest.raises(ValueError):
+            call()
+        assert (pearson._lof_critical.cache_info(), pearson._equiv_critical.cache_info()) == before
+
+    def test_int_float_and_numpy_arguments_agree(self):
+        lof = {power_lack_of_fit(alpha, nu, 13.5)
+               for alpha in (0.05, np.float64(0.05)) for nu in (5, 5.0, np.float64(5), np.int64(5))}
+        assert lof == {power_lack_of_fit(0.05, 5, 13.5)}
+        equiv = {equivalence_test(1.0, EquivalenceParams(nu, lambda0), alpha).critical_value
+                 for alpha in (0.05, np.float64(0.05))
+                 for nu in (5, 5.0, np.float64(5)) for lambda0 in (12, 12.0, np.float64(12))}
+        assert equiv == {pearson._equiv_critical(0.05, 5.0, 12.0)}
+        for value in equiv:
+            assert type(value) is float
+
+    def test_power_and_test_share_the_critical_value(self):
+        est = multinomial_power_mc(RandomStream(0), 100, U6, U6, 0.05, 1000)
+        c = pearson._lof_critical(5.0, 0.05)
+        assert est.critical_value == c
+        assert power_lack_of_fit(0.05, 5, 13.5) == 1.0 - special.chndtr(c, 5, 13.5)
+
+        params = EquivalenceParams(5, 12)
+        c = equivalence_test(1.0, params, 0.05).critical_value
+        assert c == pearson._equiv_critical(0.05, 5.0, 12.0)
+        assert power_equivalence(0.05, params, 1.0) == special.chndtr(c, 5, 1.0)
 
 
 class TestEquivalenceTest:
