@@ -9,6 +9,7 @@ from .dist import (
     ChiSqParams,
     RandomStream,
     chisq_cdf,
+    chisq_density,
     chisq_quantile,
     normal_quantile,
     sample_chisq,
@@ -45,7 +46,6 @@ from .boundary import (
 from .divergence import (
     J_noncentral,
     J_uniform,
-    chisq_density,
     signed_root_J,
 )
 from .model_fit import (

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .dist import check_probs
+from .dist import _is_int, check_positive, check_probs
 
 __all__ = [
     "euclid_d",
@@ -21,7 +21,7 @@ __all__ = [
 
 def check_r(r) -> None:
     """Reject a cell count r that is not an integer >= 2."""
-    if not (isinstance(r, (int, np.integer)) and r >= 2):
+    if not (_is_int(r) and r >= 2):
         raise ValueError("r must be an integer >= 2")
 
 
@@ -59,8 +59,7 @@ def lambda0_uniform(n: int, r: int, k: float) -> float:
     """Boundary noncentrality n k^2 / (r - 1) for equivalence to uniformity."""
     check_r(r)
     check_k(k)
-    if not 0 < n < math.inf:
-        raise ValueError(f"n must be positive and finite, got {n}")
+    check_positive(n, "n")
     return n * k * k / (r - 1)
 
 

@@ -1,17 +1,17 @@
 """Distribution primitives: normal and (non)central chi-squared, seedable
-streams, and the checks of probability vectors, degrees of freedom,
-noncentralities, probability levels and statistics.
+streams, and the checks of integers, probability vectors, degrees of
+freedom, noncentralities, probability levels and statistics.
 
-The (non)central chi-squared CDF and quantile are SciPy's ``chndtr`` and
-``chndtrix``: the array CDF through the ufunc, the scalar quantile through
-the same C kernel in ``scipy.special.cython_special``, which skips the
-ufunc's dispatch.  A random stream is an SFC64 generator seeded by
-``SeedSequence`` hashing of the fixed-width key (seed, stream_id) (stream
-layout 5), so distinct ids give independent streams whatever the order in
-which they are drawn.  A fit-table cell draws all its replications from its
-own stream, row after row (stream layout 4).
-``sample_chisq`` draws a noncentral chi-squared with nu >= 1 as a shifted
-normal squared plus a central remainder (stream layout 3).
+Every evaluation of the (non)central chi-squared law lives here: the density
+as a Poisson mixture, the rest on SciPy's ``chndtr``, ``chndtrix`` and
+``chdtri``, the array CDF through the ufunc and the scalar calls through the
+same C kernels in ``scipy.special.cython_special``, which skip the dispatch.
+A random stream is an SFC64 generator seeded by ``SeedSequence`` hashing of
+the fixed-width key (seed, stream_id) (stream layout 5), so distinct ids give
+independent streams whatever the order in which they are drawn.  A fit-table
+cell draws all its replications from its own stream, row after row (stream
+layout 4).  ``sample_chisq`` draws a noncentral chi-squared with nu >= 1 as a
+shifted normal squared plus a central remainder (stream layout 3).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "normal_quantile",
     "chisq_cdf",
     "chisq_quantile",
+    "chisq_density",
     "sample_chisq",
     "sample_family",
     "FAMILIES",
@@ -40,6 +41,12 @@ __all__ = [
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+
+
+def _is_int(v) -> bool:
+    """A Python or numpy integer; bools fail.  Concrete types, not
+    ``numbers.Integral``, whose ABC check costs about 0.4 us a call."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 class RandomStream:
@@ -58,12 +65,10 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not (0 <= seed <= _MASK64 and 0 <= stream_id <= _MASK64):
+        if not all(_is_int(v) and 0 <= v <= _MASK64 for v in (seed, stream_id)):
             raise ValueError("seed and stream_id must be unsigned 64-bit integers")
-        self.seed = seed
-        self.stream_id = stream_id
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
         self._gen = None
 
     @property
@@ -101,10 +106,10 @@ def check_probs(p, name: str, positive: bool = False) -> np.ndarray:
     return arr
 
 
-def check_nu(nu) -> None:
-    """Reject degrees of freedom that are not positive and finite; NaN fails."""
-    if not 0.0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+def check_positive(x, name: str) -> None:
+    """Reject x that is not positive and finite; NaN fails."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
 
 
 def check_lam(lam, name: str = "lam") -> None:
@@ -135,7 +140,7 @@ class ChiSqParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        check_nu(self.nu)
+        check_positive(self.nu, "nu")
         check_lam(self.lam)
 
 
@@ -156,9 +161,117 @@ def chisq_cdf(x, params: ChiSqParams):
 
 
 def chisq_quantile(p: float, params: ChiSqParams) -> float:
-    """Inverse of chisq_cdf on (0, 1)."""
+    """Inverse of chisq_cdf on (0, 1); raises ValueError where SciPy's is NaN."""
     check_level(p, "p")
-    return cython_special.chndtrix(p, params.nu, params.lam)
+    return _quantile(float(p), float(params.nu), float(params.lam))
+
+
+def _poisson_weights(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(lam/2) index range and weights with tail mass < 1e-14."""
+    m = 0.5 * lam
+    if m == 0.0:
+        return np.array([0]), np.array([1.0])
+    half = 12.0 * math.sqrt(m) + 20.0
+    klo = max(0, int(math.floor(m - half)))
+    khi = int(math.ceil(m + half))
+    k = np.arange(klo, khi + 1)
+    logw = k * math.log(m) - m - special.gammaln(k + 1.0)
+    return k, np.exp(logw)
+
+
+def _chisq_logpdf(x: np.ndarray, params: ChiSqParams) -> np.ndarray:
+    """Log density of the Poisson-mixture representation, stable in the tails."""
+    k, w = _poisson_weights(params.lam)
+    logw = np.log(w)
+    shapes = 0.5 * params.nu + k
+    lx = np.log(x)
+    # terms[i, j] = logw[i] + log gamma-density(shape_i, x_j / 2) - log 2
+    terms = (
+        logw[:, None]
+        + (shapes[:, None] - 1.0) * (lx[None, :] - math.log(2.0))
+        - 0.5 * x[None, :]
+        - special.gammaln(shapes)[:, None]
+        - math.log(2.0)
+    )
+    return special.logsumexp(terms, axis=0)
+
+
+def chisq_density(x, params: ChiSqParams):
+    """Density of the (non)central chi-squared law; nonpositive and infinite x map to 0."""
+    scalar = np.isscalar(x)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.where(np.isnan(xa), np.nan, 0.0)  # NaN stays NaN, as in chisq_cdf
+    pos = (xa > 0.0) & (xa < math.inf)
+    if np.any(pos):
+        out[pos] = np.exp(_chisq_logpdf(xa[pos], params))
+    return float(out[0]) if scalar else out
+
+
+# Scalar kernels for checked arguments.  A test's design fixes its critical
+# value, cached on the design as floats, so a power curve computes it once.
+_cdf = cython_special.chndtr  # _cdf(x, nu, lam) = P(S <= x) for S ~ chi2(nu, lam)
+
+
+@functools.lru_cache(maxsize=256)
+def _quantile(p: float, nu: float, lam: float) -> float:
+    """The p quantile of chi2(nu, lam), the equivalence critical value at
+    p = alpha.  SciPy's is NaN from about lam = 1.66e11 at p = 0.05 (4.3e10 at
+    p = 0.95); that raises, so no NaN is cached or decided on."""
+    q = cython_special.chndtrix(p, nu, lam)
+    if math.isnan(q):
+        raise ValueError(f"no chi-squared quantile at p = {p} for nu = {nu}, lam = {lam}: "
+                         "SciPy's chndtrix returns NaN there")
+    return q
+
+
+@functools.lru_cache(maxsize=256)
+def _lof_critical(nu: float, alpha: float) -> float:
+    """The level-alpha lack-of-fit critical value, the central chi2(nu)
+    upper-alpha quantile, found from the upper tail itself: inverting the CDF
+    at 1 - alpha would lose alpha's relative precision."""
+    return cython_special.chdtri(nu, alpha)
+
+
+_SERIES_BELOW = 1e-3  # survival values below this come from the series, not 1 - CDF
+_SERIES_EPS = 1e-17  # relative bound on the part of the series left unsummed
+
+
+def _sf(c: float, nu: float, lam: float) -> float:
+    """P(S >= c) for S ~ chi2(nu, lam), to full relative precision when small.
+
+    1 - CDF is good to about 1e-16 / P(S >= c), so below 1e-3 the value is the
+    Poisson mixture sum of Pois(k; lam/2) chdtrc(nu + 2k, c), summed outward
+    from the Poisson mode (Benton & Krishnamoorthy 2003).  Below the mode the
+    weights fall by k/mu and the central tails fall too; above it the weights
+    fall by mu/(k+1) and the tails are at most 1.  Each direction stops once
+    the geometric bound on its remaining terms is below 1e-17 of the sum.
+    """
+    sf = 1.0 - _cdf(c, nu, lam)
+    if not sf < _SERIES_BELOW:
+        return sf  # NaN stays NaN
+    if lam == 0.0:
+        return cython_special.chdtrc(nu, c)
+    mu = 0.5 * lam
+    mode = int(mu)
+    # a difference of Poisson CDFs near 1/2 keeps the mode's weight good to a
+    # few ulps at large mu, where exp(k log mu - mu - lgamma(k + 1)) cancels
+    p_mode = cython_special.pdtr(mode, mu) - (cython_special.pdtr(mode - 1, mu) if mode else 0.0)
+    total = 0.0
+    p, k = p_mode, mode
+    while True:  # down from the mode; what is left is at most term k / (mu - k)
+        term = p * cython_special.chdtrc(nu + 2.0 * k, c)
+        total += term
+        if k == 0 or term * k <= _SERIES_EPS * total * (mu - k):
+            break
+        p *= k / mu
+        k -= 1
+    p, k = p_mode, mode
+    while True:  # up from the mode; what is left is at most p mu / (k + 1 - mu)
+        p *= mu / (k + 1)
+        k += 1
+        total += p * cython_special.chdtrc(nu + 2.0 * k, c)
+        if p * mu <= _SERIES_EPS * total * (k + 1 - mu):
+            return total
 
 
 def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):

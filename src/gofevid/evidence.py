@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import check_lam, check_nu, check_statistic
+from .dist import check_lam, check_positive, check_statistic
 
 __all__ = [
     "Direction",
@@ -64,9 +64,8 @@ class EquivalenceParams:
     lambda0: float
 
     def __post_init__(self):
-        check_nu(self.nu)
-        if not 0.0 < self.lambda0 < math.inf:
-            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
+        check_positive(self.nu, "nu")
+        check_positive(self.lambda0, "lambda0")
 
 
 def _branch_root(s: np.ndarray, nu: float):
@@ -85,7 +84,7 @@ def lof_transform(s, nu: float, bias_adjust: bool = True):
     sqrt(nu/2) above; continuous, strictly increasing, and 0 at s = nu
     before the +0.2/sqrt(nu) bias adjustment.
     """
-    check_nu(nu)
+    check_positive(nu, "nu")
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
     lower, root = _branch_root(sa, nu)
@@ -123,7 +122,7 @@ def evidence_against(s: float, nu: float, bias_adjust: bool = True) -> EvidenceV
 
 def expected_evidence_against(nu: float, lam: float) -> float:
     """First-order mean of the lack-of-fit evidence: sqrt(lam + nu/2) - sqrt(nu/2)."""
-    check_nu(nu)
+    check_positive(nu, "nu")
     check_lam(lam)
     return math.sqrt(lam + 0.5 * nu) - math.sqrt(0.5 * nu)
 

@@ -1,26 +1,18 @@
 """Pearson chi-squared statistic, power, and the equivalence test.
 
-A test's design fixes its critical value: ``chdtri(nu, alpha)`` for the
-lack-of-fit test and ``chndtrix(alpha, nu, lambda0)`` for the equivalence
-test.  Each has one private definition here, cached per design, so a power
-curve or a run of decisions on one design computes it once.  The scalar
-calls (``power_lack_of_fit``, ``power_equivalence``, ``equivalence_test``
-and the critical value of ``multinomial_power_mc``) evaluate SciPy's
-chi-squared kernels through ``scipy.special.cython_special``: the same C
-code as the ``scipy.special`` ufuncs, bit for bit, without the ufunc
-dispatch.
+A test's design fixes its critical value.  ``dist`` computes it, cached per
+design, and the powers' survival function and CDF, from SciPy's kernels.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import cython_special
 
-from .dist import RandomStream, check_lam, check_level, check_nu, check_probs, check_statistic
+from .dist import RandomStream, _cdf, _is_int, _lof_critical, _quantile, _sf, check_lam, \
+    check_level, check_positive, check_probs, check_statistic
 from .evidence import EquivalenceParams
 
 __all__ = [
@@ -117,82 +109,22 @@ def pearson_stats(counts, null_probs) -> np.ndarray:
     return _pearson(counts, probs, n)
 
 
-@functools.lru_cache(maxsize=256)
-def _lof_critical(nu: float, alpha: float) -> float:
-    """The level-alpha lack-of-fit critical value, the central chi2(nu)
-    upper-alpha quantile, found from the upper tail itself: inverting the CDF
-    at 1 - alpha would lose alpha's relative precision.  Callers pass checked
-    floats."""
-    return cython_special.chdtri(nu, alpha)
-
-
-@functools.lru_cache(maxsize=256)
-def _equiv_critical(alpha: float, nu: float, lambda0: float) -> float:
-    """The level-alpha equivalence critical value, the alpha quantile of
-    chi2(nu, lambda0).  Callers pass checked floats."""
-    return cython_special.chndtrix(alpha, nu, lambda0)
-
-
-_SERIES_BELOW = 1e-3  # powers below this come from _upper_tail, not 1 - CDF
-_SERIES_EPS = 1e-17  # relative bound on the part of the series left unsummed
-
-
-def _upper_tail(c: float, nu: float, lam: float) -> float:
-    """P(S >= c) for S ~ chi2(nu, lam), to full relative precision when small.
-
-    The Poisson mixture sum of Pois(k; lam/2) chdtrc(nu + 2k, c), summed
-    outward from the Poisson mode (Benton & Krishnamoorthy 2003).  Below the
-    mode the weights fall by k/mu and the central tails fall too; above it the
-    weights fall by mu/(k+1) and the tails are at most 1.  Each direction stops
-    once the geometric bound on its remaining terms is below 1e-17 of the sum.
-    """
-    if lam == 0.0:
-        return cython_special.chdtrc(nu, c)
-    mu = 0.5 * lam
-    mode = int(mu)
-    # a difference of Poisson CDFs near 1/2 keeps the mode's weight good to a
-    # few ulps at large mu, where exp(k log mu - mu - lgamma(k + 1)) cancels
-    p_mode = cython_special.pdtr(mode, mu) - (cython_special.pdtr(mode - 1, mu) if mode else 0.0)
-    total = 0.0
-    p, k = p_mode, mode
-    while True:  # down from the mode; what is left is at most term k / (mu - k)
-        term = p * cython_special.chdtrc(nu + 2.0 * k, c)
-        total += term
-        if k == 0 or term * k <= _SERIES_EPS * total * (mu - k):
-            break
-        p *= k / mu
-        k -= 1
-    p, k = p_mode, mode
-    while True:  # up from the mode; what is left is at most p mu / (k + 1 - mu)
-        p *= mu / (k + 1)
-        k += 1
-        total += p * cython_special.chdtrc(nu + 2.0 * k, c)
-        if p * mu <= _SERIES_EPS * total * (k + 1 - mu):
-            return total
-
-
 def power_lack_of_fit(alpha: float, nu: float, lam: float) -> float:
     """P(S >= c) for S ~ chi2(nu, lam), c the level-alpha critical value
-    ``_lof_critical(nu, alpha)``, which ``multinomial_power_mc`` shares.
-
-    1 - CDF is good to about 1e-16 / power, so a power below 1e-3 is summed
-    again by ``_upper_tail``.
-    """
+    ``_lof_critical(nu, alpha)``, which ``multinomial_power_mc`` shares."""
     check_level(alpha, "alpha")
-    check_nu(nu)
+    check_positive(nu, "nu")
     check_lam(lam)
-    c = _lof_critical(float(nu), float(alpha))
-    power = 1.0 - cython_special.chndtr(c, nu, lam)
-    return _upper_tail(c, nu, lam) if power < _SERIES_BELOW else power  # NaN stays NaN
+    return _sf(_lof_critical(float(nu), float(alpha)), nu, lam)
 
 
 def power_equivalence(alpha: float, params: EquivalenceParams, lam: float) -> float:
     """P(S <= c) for S ~ chi2(nu, lam), c the level-alpha critical value
-    ``_equiv_critical(alpha, nu, lambda0)``, which ``equivalence_test`` shares."""
+    ``_quantile(alpha, nu, lambda0)``, which ``equivalence_test`` shares."""
     check_level(alpha, "alpha")
     check_lam(lam)
-    c = _equiv_critical(float(alpha), float(params.nu), float(params.lambda0))
-    return cython_special.chndtr(c, params.nu, lam)
+    c = _quantile(float(alpha), float(params.nu), float(params.lambda0))
+    return _cdf(c, params.nu, lam)
 
 
 @dataclass(frozen=True)
@@ -215,7 +147,7 @@ def equivalence_test(s: float, params: EquivalenceParams, alpha: float) -> Equiv
     """
     check_level(alpha, "alpha")
     check_statistic(s)
-    c = _equiv_critical(float(alpha), float(params.nu), float(params.lambda0))
+    c = _quantile(float(alpha), float(params.nu), float(params.lambda0))
     decision = "reject_nonequivalence" if s <= c else "retain"
     return EquivalenceDecision(decision=decision, s=float(s), critical_value=c,
                                alpha=alpha, params=params)
@@ -223,7 +155,7 @@ def equivalence_test(s: float, params: EquivalenceParams, alpha: float) -> Equiv
 
 def _check_whole(value, name: str, low: int) -> None:
     """Reject anything but a Python or numpy integer >= low; bools fail."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
+    if not (_is_int(value) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -45,7 +45,7 @@ import scipy
 
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import FAMILIES, ChiSqParams, RandomStream, count_pmf, count_support, sample_chisq
+from .dist import FAMILIES, ChiSqParams, RandomStream, _is_int, count_pmf, count_support, sample_chisq
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
@@ -149,10 +149,6 @@ _ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
 def clip_repr(value) -> str:
     """repr(value), clipped so that an error message echoing input stays short."""
     return _ECHO.repr(value)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:

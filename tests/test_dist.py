@@ -184,6 +184,19 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0, 2**64)
 
+    @pytest.mark.parametrize("key", [(1.7,), (np.float64(2.9),), (True,), ("5",), (0, 1.0), (0, False)])
+    def test_non_integers_rejected(self, key):
+        # RandomStream(1.7) used to draw seed 1's stream
+        with pytest.raises(ValueError, match="seed and stream_id must be unsigned 64-bit integers"):
+            RandomStream(*key)
+
+    def test_numpy_integers_accepted(self):
+        stream = RandomStream(np.uint64(2**64 - 1), np.uint64(3))
+        assert (stream.seed, stream.stream_id) == (2**64 - 1, 3)
+        assert type(stream.seed) is int and type(stream.stream_id) is int
+        assert np.array_equal(stream.gen.standard_normal(4),
+                              RandomStream(2**64 - 1, 3).gen.standard_normal(4))
+
 
 class TestSampleChiSq:
     def test_central_path_skips_poisson(self):

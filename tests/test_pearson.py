@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import special
 from scipy.special import cython_special
 
 import oracles
-from gofevid import pearson
+from gofevid import dist
 from gofevid.boundary import euclid_d, lambda0_uniform, least_divergent_point
 from gofevid.dist import ChiSqParams, RandomStream, chisq_cdf, chisq_quantile, sample_chisq
 from gofevid.evidence import EquivalenceParams
@@ -227,18 +228,18 @@ class TestCriticalValueCache:
 
     def test_repeated_design_hits_the_cache(self):
         power_lack_of_fit(0.0123, 7, 1.0)
-        before = pearson._lof_critical.cache_info()
+        before = dist._lof_critical.cache_info()
         power_lack_of_fit(0.0123, 7.0, 3.0)
         multinomial_power_mc(RandomStream(0), 50, [0.125] * 8, [0.125] * 8, 0.0123, 1000)  # nu = 7
-        after = pearson._lof_critical.cache_info()
+        after = dist._lof_critical.cache_info()
         assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
         params = EquivalenceParams(7.25, 3.5)
         power_equivalence(0.0123, params, 1.0)
-        before = pearson._equiv_critical.cache_info()
+        before = dist._quantile.cache_info()
         power_equivalence(0.0123, params, 2.0)
         equivalence_test(1.0, params, 0.0123)
-        after = pearson._equiv_critical.cache_info()
+        after = dist._quantile.cache_info()
         assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
     @pytest.mark.parametrize("call", [
@@ -255,10 +256,10 @@ class TestCriticalValueCache:
         lambda: multinomial_power_mc(RandomStream(0), 50, U6, U6, math.nan, 1000),
     ])
     def test_bad_design_is_never_a_key(self, call):
-        before = pearson._lof_critical.cache_info(), pearson._equiv_critical.cache_info()
+        before = dist._lof_critical.cache_info(), dist._quantile.cache_info()
         with pytest.raises(ValueError):
             call()
-        assert (pearson._lof_critical.cache_info(), pearson._equiv_critical.cache_info()) == before
+        assert (dist._lof_critical.cache_info(), dist._quantile.cache_info()) == before
 
     def test_int_float_and_numpy_arguments_agree(self):
         lof = {power_lack_of_fit(alpha, nu, 13.5)
@@ -267,20 +268,47 @@ class TestCriticalValueCache:
         equiv = {equivalence_test(1.0, EquivalenceParams(nu, lambda0), alpha).critical_value
                  for alpha in (0.05, np.float64(0.05))
                  for nu in (5, 5.0, np.float64(5)) for lambda0 in (12, 12.0, np.float64(12))}
-        assert equiv == {pearson._equiv_critical(0.05, 5.0, 12.0)}
+        assert equiv == {dist._quantile(0.05, 5.0, 12.0)}
         for value in equiv:
             assert type(value) is float
 
     def test_power_and_test_share_the_critical_value(self):
         est = multinomial_power_mc(RandomStream(0), 100, U6, U6, 0.05, 1000)
-        c = pearson._lof_critical(5.0, 0.05)
+        c = dist._lof_critical(5.0, 0.05)
         assert est.critical_value == c
         assert power_lack_of_fit(0.05, 5, 13.5) == 1.0 - special.chndtr(c, 5, 13.5)
 
         params = EquivalenceParams(5, 12)
         c = equivalence_test(1.0, params, 0.05).critical_value
-        assert c == pearson._equiv_critical(0.05, 5.0, 12.0)
+        assert c == dist._quantile(0.05, 5.0, 12.0)
         assert power_equivalence(0.05, params, 1.0) == special.chndtr(c, 5, 1.0)
+
+
+
+class TestUncomputableQuantile:
+    """SciPy's chndtrix is NaN from about lam = 1.66e11 at p = 0.05; a
+    critical value there raises instead of deciding on NaN, and is not cached."""
+
+    @pytest.mark.parametrize("call, lam", [
+        (lambda: chisq_quantile(0.05, ChiSqParams(5, 1e12)), "1000000000000.0"),
+        (lambda: power_equivalence(0.05, EquivalenceParams(5, 1e17), 0.0), "1e+17"),
+        # s = 3 lies far below the true critical value, about 1e17: not a retain
+        (lambda: equivalence_test(3.0, EquivalenceParams(5, 1e17), 0.05), "1e+17"),
+    ])
+    def test_raises_naming_nu_and_lam(self, call, lam):
+        size = dist._quantile.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"nu = 5.0, lam = {re.escape(lam)}:"):
+                call()
+        assert dist._quantile.cache_info().currsize == size
+
+    def test_finite_at_lambda0_1e10(self):
+        params = EquivalenceParams(5, 1e10)
+        c = chisq_quantile(0.05, ChiSqParams(5, 1e10))
+        assert 0.999 * 1e10 < c < 1e10
+        assert equivalence_test(3.0, params, 0.05).critical_value == c
+        assert power_equivalence(0.05, params, 0.0) == 1.0
+        assert power_equivalence(0.05, params, 1e10) == pytest.approx(0.05, rel=1e-9)
 
 
 class TestEquivalenceTest:
