@@ -3,9 +3,11 @@ streams, and the checks of integers, probability vectors, degrees of
 freedom, noncentralities, probability levels and statistics.
 
 Every evaluation of the (non)central chi-squared law lives here: the density
-as a Poisson mixture, the rest on SciPy's ``chndtr``, ``chndtrix`` and
-``chdtri``, the array CDF through the ufunc and the scalar calls through the
-same C kernels in ``scipy.special.cython_special``, which skip the dispatch.
+as a Poisson mixture, the rest on SciPy's ``chndtr``, ``chndtrix``,
+``chdtri``, ``chdtrc`` and ``_ncx2_sf``, the array CDF through the ufunc and
+the scalar calls through the same C kernels in ``scipy.special.cython_special``,
+which skip the dispatch.  Where SciPy's CDF or quantile is NaN at a finite
+noncentrality, as from about lam = 4e10, these calls raise ValueError.
 A random stream is an SFC64 generator seeded by ``SeedSequence`` hashing of
 the fixed-width key (seed, stream_id) (stream layout 5), so distinct ids give
 independent streams whatever the order in which they are drawn.  A fit-table
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 from scipy.special import cython_special
+from scipy.special._ufuncs import _ncx2_sf
 
 __all__ = [
     "RandomStream",
@@ -154,9 +157,20 @@ def normal_quantile(p):
     return float(out) if np.isscalar(p) else out
 
 
+def _nan_error(what: str, nu: float, lam: float, kernel: str = "chndtr") -> ValueError:
+    """The error for a point where SciPy's kernel is NaN.  ``check_lam``
+    accepts every finite lam, but ``chndtr`` in the bulk is NaN from about
+    lam = 4.2e10; raising keeps a NaN from being returned, cached or decided on."""
+    return ValueError(f"no chi-squared {what} for nu = {nu}, lam = {lam}: "
+                      f"SciPy's {kernel} returns NaN there")
+
+
 def chisq_cdf(x, params: ChiSqParams):
-    """CDF of the (non)central chi-squared law; negative x maps to 0."""
+    """CDF of the (non)central chi-squared law; negative x maps to 0, NaN x
+    stays NaN, and a NaN from SciPy at any other x raises ValueError."""
     out = special.chndtr(np.maximum(x, 0.0), params.nu, params.lam)
+    if (np.isnan(out) & ~np.isnan(x)).any():
+        raise _nan_error("CDF", params.nu, params.lam)
     return float(out) if np.isscalar(x) else out
 
 
@@ -216,11 +230,10 @@ _cdf = cython_special.chndtr  # _cdf(x, nu, lam) = P(S <= x) for S ~ chi2(nu, la
 def _quantile(p: float, nu: float, lam: float) -> float:
     """The p quantile of chi2(nu, lam), the equivalence critical value at
     p = alpha.  SciPy's is NaN from about lam = 1.66e11 at p = 0.05 (4.3e10 at
-    p = 0.95); that raises, so no NaN is cached or decided on."""
+    p = 0.95); that raises."""
     q = cython_special.chndtrix(p, nu, lam)
     if math.isnan(q):
-        raise ValueError(f"no chi-squared quantile at p = {p} for nu = {nu}, lam = {lam}: "
-                         "SciPy's chndtrix returns NaN there")
+        raise _nan_error(f"quantile at p = {p}", nu, lam, "chndtrix")
     return q
 
 
@@ -232,46 +245,28 @@ def _lof_critical(nu: float, alpha: float) -> float:
     return cython_special.chdtri(nu, alpha)
 
 
-_SERIES_BELOW = 1e-3  # survival values below this come from the series, not 1 - CDF
-_SERIES_EPS = 1e-17  # relative bound on the part of the series left unsummed
+_SF_FROM_CDF = 1e-3  # survival values from here up are 1 - CDF
 
 
 def _sf(c: float, nu: float, lam: float) -> float:
     """P(S >= c) for S ~ chi2(nu, lam), to full relative precision when small.
 
-    1 - CDF is good to about 1e-16 / P(S >= c), so below 1e-3 the value is the
-    Poisson mixture sum of Pois(k; lam/2) chdtrc(nu + 2k, c), summed outward
-    from the Poisson mode (Benton & Krishnamoorthy 2003).  Below the mode the
-    weights fall by k/mu and the central tails fall too; above it the weights
-    fall by mu/(k+1) and the tails are at most 1.  Each direction stops once
-    the geometric bound on its remaining terms is below 1e-17 of the sum.
+    1 - CDF is good to about 1e-16 / P(S >= c), so below 1e-3 the value is
+    SciPy's upper tail itself: ``chdtrc`` at lam = 0 and otherwise
+    ``_ncx2_sf``, the Boost kernel behind ``scipy.stats.ncx2.sf``.  For
+    nu <= 300 and lam <= 1000 that is within 2.1e-14 of mpmath down to 1e-100;
+    at huge nu it is not (3.2e-10 at nu = 1e7, lam = 0, P = 1e-100, hence
+    ``chdtrc`` there; 2.9e-10 at lam = 1000).  Raises ValueError where SciPy's
+    CDF is NaN.
     """
     sf = 1.0 - _cdf(c, nu, lam)
-    if not sf < _SERIES_BELOW:
-        return sf  # NaN stays NaN
+    if sf >= _SF_FROM_CDF:
+        return sf
+    if math.isnan(sf):
+        raise _nan_error(f"survival value at {c}", nu, lam)
     if lam == 0.0:
         return cython_special.chdtrc(nu, c)
-    mu = 0.5 * lam
-    mode = int(mu)
-    # a difference of Poisson CDFs near 1/2 keeps the mode's weight good to a
-    # few ulps at large mu, where exp(k log mu - mu - lgamma(k + 1)) cancels
-    p_mode = cython_special.pdtr(mode, mu) - (cython_special.pdtr(mode - 1, mu) if mode else 0.0)
-    total = 0.0
-    p, k = p_mode, mode
-    while True:  # down from the mode; what is left is at most term k / (mu - k)
-        term = p * cython_special.chdtrc(nu + 2.0 * k, c)
-        total += term
-        if k == 0 or term * k <= _SERIES_EPS * total * (mu - k):
-            break
-        p *= k / mu
-        k -= 1
-    p, k = p_mode, mode
-    while True:  # up from the mode; what is left is at most p mu / (k + 1 - mu)
-        p *= mu / (k + 1)
-        k += 1
-        total += p * cython_special.chdtrc(nu + 2.0 * k, c)
-        if p * mu <= _SERIES_EPS * total * (k + 1 - mu):
-            return total
+    return _ncx2_sf(c, nu, lam)
 
 
 def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import RandomStream, _cdf, _is_int, _lof_critical, _quantile, _sf, check_lam, \
+from .dist import RandomStream, _cdf, _is_int, _lof_critical, _nan_error, _quantile, _sf, check_lam, \
     check_level, check_positive, check_probs, check_statistic
 from .evidence import EquivalenceParams
 
@@ -124,7 +124,10 @@ def power_equivalence(alpha: float, params: EquivalenceParams, lam: float) -> fl
     check_level(alpha, "alpha")
     check_lam(lam)
     c = _quantile(float(alpha), float(params.nu), float(params.lambda0))
-    return _cdf(c, params.nu, lam)
+    power = _cdf(c, params.nu, lam)
+    if math.isnan(power):
+        raise _nan_error(f"CDF at {c}", params.nu, lam)
+    return power
 
 
 @dataclass(frozen=True)

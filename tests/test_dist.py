@@ -87,6 +87,15 @@ class TestChiSqCdf:
     def test_negative_x_is_zero(self):
         assert chisq_cdf(-3.0, ChiSqParams(5, 2)) == 0.0
 
+    def test_scipy_nan_raises(self):
+        # SciPy's chndtr is NaN in the bulk from about lam = 4.18e10
+        assert chisq_cdf(5 + 1e10, ChiSqParams(5, 1e10)) == pytest.approx(0.5, abs=1e-5)
+        with pytest.raises(ValueError, match="nu = 5, lam = 100000000000.0: SciPy's chndtr returns NaN"):
+            chisq_cdf(5 + 1e11, ChiSqParams(5, 1e11))
+        with pytest.raises(ValueError, match="SciPy's chndtr returns NaN"):
+            chisq_cdf(np.array([1.0, math.nan, 11.07]), ChiSqParams(5, 1e19))
+        assert math.isnan(chisq_cdf(math.nan, ChiSqParams(5, 1e19)))
+
     def test_matches_scipy_noncentral(self):
         for nu, lam in [(1, 0.5), (5, 8), (5, 12), (14, 20.117), (3, 200.0)]:
             xs = np.linspace(0.01, nu + lam + 8 * math.sqrt(2 * nu + 4 * lam), 50)

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gofevid"
-KERNELS = re.compile(r"cython_special|chndtr|chndtrix|chdtri|chdtrc")
+KERNELS = re.compile(r"cython_special|chndtr|chndtrix|chdtri|chdtrc|_ncx2")
 
 
 def test_only_dist_names_the_chisq_kernels():

@@ -1,7 +1,7 @@
 """Every public entry point that takes nu, lam, lambda0 or a test level
 rejects NaN, +-inf and out-of-range values with the message of the one
-check that owns the rule (``dist.check_nu``, ``check_lam``, ``check_level``
-and the lambda0 rule of ``EquivalenceParams``); ``equivalence_test`` rejects
+check that owns the rule (``dist.check_positive(nu, "nu")``, ``check_lam``,
+``check_level`` and the lambda0 rule of ``EquivalenceParams``); ``equivalence_test`` rejects
 a negative or NaN statistic with the message of ``dist.check_statistic``, as
 the evidence transforms do.  ``multinomial_power_mc``
 takes only an integer sample size n >= 1 and integer reps >= 1000.  Every entry point that takes

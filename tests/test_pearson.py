@@ -137,29 +137,45 @@ class TestPowerLackOfFit:
     def test_matches_mpmath(self, alpha):
         # the critical value comes from the upper tail, so a small alpha keeps its
         # relative precision (inverting the CDF at 1 - alpha gave 4.9e-12 at
-        # alpha = 1e-6 and 1e-6 at 1e-12); a power below 1e-3 is summed as a
-        # Poisson mixture of central upper tails (1 - CDF gave 2.2e-5 at
-        # alpha = 1e-12, lam = 0), so powers down to alpha keep it too
+        # alpha = 1e-6 and 1e-6 at 1e-12); a power below 1e-3 is SciPy's upper
+        # tail, not 1 - CDF (which gave 2.2e-5 at alpha = 1e-12, lam = 0), so
+        # powers down to alpha keep it too
         for nu in (1, 5, 14):
             c = oracles.chisq_critical_mp(alpha, nu)
             for lam in (0.0, 1.0, 30.0, 60.0):
                 want = oracles.ncx2_sf_mp(c, nu, lam)
                 assert want > 1e-13
-                assert power_lack_of_fit(alpha, nu, lam) == pytest.approx(want, rel=1e-12)
+                assert power_lack_of_fit(alpha, nu, lam) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha, nu, lam", [(1e-300, 5, 200.0), (1e-300, 5, 1000.0),
-                                                (1e-100, 0.3, 60.0)])
+                                                (1e-100, 0.3, 60.0), (1e-30, 300, 1000.0),
+                                                (1e-100, 50, 200.0), (1e-100, 1e7, 0.0)])
     def test_small_powers_far_out(self, alpha, nu, lam):
-        # the series walks out from the Poisson mode; at lam = 200 the power is 2.3e-119
+        # at lam = 200 the power is 2.3e-119 (nu = 5) and 3.4e-22 (nu = 50); at
+        # nu = 1e7, lam = 0 SciPy's noncentral upper tail is 3.2e-10 off, the
+        # central one is not
         c = special.chdtri(nu, alpha)
         want = oracles.ncx2_sf_mp(c, nu, lam)
-        assert power_lack_of_fit(alpha, nu, lam) == pytest.approx(want, rel=1e-13)
+        assert power_lack_of_fit(alpha, nu, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_overflowing_noncentrality_returns(self):
-        # SciPy's chndtr gives NaN at lam = 1e20; the series must not start on
-        # a NaN power, whose stopping rule would never hold
-        power = power_lack_of_fit(0.05, 5, 1e20)
-        assert math.isnan(power) or power == 1.0
+    def test_small_power_grid(self):
+        # every power below 1e-3 on this grid, 112 points, against 40-digit sums
+        worst, points = 0.0, 0
+        for nu in (0.3, 1, 5, 14, 50, 300):
+            for lam in (1e-3, 0.1, 1, 10, 60, 200, 1000):
+                for alpha in (1e-3, 1e-6, 1e-12, 1e-30, 1e-100):
+                    c = special.chdtri(nu, alpha)
+                    got = power_lack_of_fit(alpha, nu, lam)
+                    if got < 1e-3:
+                        worst = max(worst, abs(got / oracles.ncx2_sf_mp(c, nu, lam) - 1.0))
+                        points += 1
+        assert points == 112
+        assert worst <= 5e-14
+
+    def test_overflowing_noncentrality_raises(self):
+        # SciPy's chndtr gives NaN at lam = 1e20
+        with pytest.raises(ValueError, match="nu = 5, lam = 1e[+]20: SciPy's chndtr returns NaN"):
+            power_lack_of_fit(0.05, 5, 1e20)
 
     def test_critical_value_shared_with_monte_carlo(self):
         est = multinomial_power_mc(RandomStream(0), 100, U6, U6, 1e-6, 1000)
@@ -177,6 +193,11 @@ class TestPowerEquivalence:
         params = EquivalenceParams(5, 12)
         vals = [power_equivalence(0.05, params, lam) for lam in (0.0, 6.0, 12.0)]
         assert vals[0] > vals[1] > vals[2]
+
+    def test_overflowing_noncentrality_raises(self):
+        assert power_equivalence(0.05, EquivalenceParams(5, 12), 1e18) == 0.0
+        with pytest.raises(ValueError, match="nu = 5, lam = 1e[+]19: SciPy's chndtr returns NaN"):
+            power_equivalence(0.05, EquivalenceParams(5, 12), 1e19)
 
     @pytest.mark.parametrize("alpha", [0.05, 1e-6])
     def test_equals_the_public_quantile_and_cdf(self, alpha):
