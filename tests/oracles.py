@@ -4,8 +4,9 @@ Kept deliberately separate from the library's own numerics: the incomplete
 gamma here is a hand-rolled series / continued fraction, the normal CDF goes
 through math.erfc, the evidence transforms are written out again from the
 paper's definitions, moments under chi2(nu, lam) are Gauss-Legendre
-quadrature against scipy.stats densities, and the divergence oracle is plain
-trapezoid summation on a fine fixed grid.  The noncentral chi-squared
+quadrature against scipy.stats densities, and the divergence oracles are plain
+trapezoid summation on a fine fixed grid and mpmath quadrature of the
+Bessel-form densities at 30 digits.  The noncentral chi-squared
 upper tail and the central critical value are mpmath's incomplete gamma at 40
 digits, summed over the Poisson mixture.  The Poisson tail-cell layout is
 the full-width evaluation the library's bracketed window must reproduce
@@ -201,6 +202,42 @@ def trapezoid_J(nu: float, lam_a: float, lam_b: float, n_points: int = 200_001) 
     integrand = np.zeros_like(x)
     integrand[ok] = (np.exp(la[ok]) - np.exp(lb[ok])) * (la[ok] - lb[ok]) * 2.0 * u[ok]
     return float(np.trapezoid(integrand, u))
+
+
+def _ncx2_logpdf_mp(x, nu, lam):
+    """log density of chi2(nu, lam) in mpmath: the central gamma form at
+    lam = 0, else the Bessel form."""
+    if lam == 0:
+        return ((nu / 2 - 1) * mpmath.log(x) - x / 2 - (nu / 2) * mpmath.log(2)
+                - mpmath.loggamma(nu / 2))
+    return (-mpmath.log(2) - (x + lam) / 2 + (nu / 4 - mpmath.mpf(1) / 2) * mpmath.log(x / lam)
+            + mpmath.log(mpmath.besseli(nu / 2 - 1, mpmath.sqrt(lam * x))))
+
+
+def ncx2_J_mp(nu: float, lam_a: float, lam_b: float) -> float:
+    """Symmetrized divergence of chi2(nu, lam_a) and chi2(nu, lam_b) by mpmath
+    quadrature at 30 digits, up to 40 sd past the larger mean.
+
+    For nu < 2 the densities grow like x^(nu/2 - 1) at 0, so the part below
+    c = min(nu, 1) is integrated in t = x^(nu/2), where the integrand is
+    smooth; the rest goes in u = sqrt(x) on 12 panels.
+    """
+    with mpmath.workdps(30):
+        nu, a, b = mpmath.mpf(nu), mpmath.mpf(lam_a), mpmath.mpf(lam_b)
+
+        def g(x):
+            la, lb = _ncx2_logpdf_mp(x, nu, a), _ncx2_logpdf_mp(x, nu, b)
+            return (mpmath.exp(la) - mpmath.exp(lb)) * (la - lb)
+
+        hi = max(nu + lam + 40 * mpmath.sqrt(2 * nu + 4 * lam) + 20 for lam in (a, b))
+        c = min(nu, 1) if nu < 2 else mpmath.mpf(0)
+        total = mpmath.mpf(0)
+        if c:
+            p = 2 / nu
+            total += mpmath.quad(lambda t: g(t**p) * p * t ** (p - 1), [0, c ** (nu / 2)])
+        edges = mpmath.linspace(mpmath.sqrt(c), mpmath.sqrt(hi), 13)
+        total += mpmath.quad(lambda u: g(u * u) * 2 * u, edges)
+        return float(total)
 
 
 def uniform_sphere_simplex(rng: np.random.Generator, r: int, radius: float,

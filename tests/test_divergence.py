@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,40 @@ class TestJNoncentral:
     def test_trapezoid_oracle(self):
         for nu, a, b in [(5, 12, 6), (5, 8, 0), (1, 4, 10)]:
             assert abs(J_noncentral(nu, a, b) - oracles.trapezoid_J(nu, a, b)) < 1e-5
+
+    # oracles.ncx2_J_mp(nu, a, b): mpmath at 30 digits on the Bessel-form
+    # densities, stored so the suite stays fast; nu < 0.05 also covers the
+    # closed-form sliver below the smallest normal float
+    MPMATH_J = {
+        (0.3, 0, 5): 4.557261047346813,
+        (0.5, 3, 7): 0.8825247048216063,
+        (0.5, 12, 6): 1.0651192395580322,
+        (1.5, 3, 9): 1.5022825894141905,
+        (2.5, 12, 6): 0.9350435639604784,
+        (1, 12, 200): 114.01921808645021,
+        (5, 12, 6): 0.818785013774845,
+        (14, 12, 200): 101.62594718991964,
+        (0.01, 0, 5): 8.215627990634427,
+        (0.001, 0, 5): 10.397984461168333,
+        (1e-4, 3, 7): 0.9781878835731168,
+    }
+
+    @pytest.mark.parametrize("args", list(MPMATH_J))
+    def test_mpmath_grid(self, args):
+        assert J_noncentral(*args) == pytest.approx(self.MPMATH_J[args], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("args", [(1, 12, 200), (5, 1e4, 1.1e4)])
+    def test_bounded_memory(self, args):
+        # the log-density runs on chunks of 2^16 (mixture terms x nodes)
+        # values; one unchunked (257 x 2940) mixture array alone is 6 MB
+        J_noncentral(5, 12, 6)
+        tracemalloc.start()
+        try:
+            J_noncentral(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_monotone_agreement_with_mean_curve(self):
         lams = list(range(2, 31, 2))

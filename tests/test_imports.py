@@ -46,18 +46,19 @@ def test_power_calls_import_nothing():
     assert out.splitlines() == ["True", "[]"]
 
 
-def test_scipy_integrate_loads_only_for_J():
-    # scipy.integrate (and the scipy.optimize it pulls in) costs about 0.3 s;
-    # only the J quadrature needs it, so it loads at the first J call
+def test_scipy_integrate_never_loads():
+    # scipy.integrate (and the scipy.optimize it pulls in) costs about 0.3 s
+    # and 25 MB; J runs on a fixed rule, so neither ever loads
     out = _run_fresh(
         "import sys, gofevid, gofevid.cli\n"
         "gofevid.cli.main(['samplesize', '--m0', '3', '--r', '6', '-f', 'json'])\n"
+        "j = gofevid.J_noncentral(5, 12, 6)\n"
         "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])\n"
-        "print(repr(gofevid.J_noncentral(5, 12, 6)))\n")
+        "print(repr(j))\n")
     lines = out.splitlines()
     assert lines[-2] == "[False, False]"
-    assert float(lines[-1]) == pytest.approx(0.8187850131043298, rel=1e-12)
-
+    # mpmath quadrature of the Bessel-form densities (tests/oracles.py::ncx2_J_mp)
+    assert float(lines[-1]) == pytest.approx(0.81878501377484501, rel=1e-12, abs=0.0)
 
 
 def test_report_and_power_calls_leave_scipy_stats_and_integrate_unloaded(tmp_path):

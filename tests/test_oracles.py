@@ -1,4 +1,5 @@
-"""Checks of the quadrature oracle against closed forms and adaptive quadrature."""
+"""Checks of the quadrature oracles against closed forms, adaptive quadrature
+and each other."""
 
 import math
 
@@ -39,3 +40,11 @@ def test_transform_moments_match_adaptive_quad(nu, lam):
     assert mean == pytest.approx(m, abs=1e-9)
     assert sd == pytest.approx(math.sqrt(var), abs=1e-9)
     assert got_mu4 == pytest.approx(mu4, abs=1e-8)
+
+
+def test_J_oracle_at_one_point():
+    # the stored mpmath value of tests/test_divergence.py, and the independent
+    # trapezoid oracle within its own accuracy
+    got = oracles.ncx2_J_mp(5, 12, 6)
+    assert got == pytest.approx(0.81878501377484501, rel=1e-15, abs=0.0)
+    assert got == pytest.approx(oracles.trapezoid_J(5, 12, 6), abs=1e-6)
