@@ -6,14 +6,19 @@ Every evaluation of the (non)central chi-squared law lives here: the density
 as a Poisson mixture, the rest on SciPy's ``chndtr``, ``chndtrix``,
 ``chdtri``, ``chdtrc`` and ``_ncx2_sf``, the array CDF through the ufunc and
 the scalar calls through the same C kernels in ``scipy.special.cython_special``,
-which skip the dispatch.  Where SciPy's CDF or quantile is NaN at a finite
-noncentrality, as from about lam = 4e10, these calls raise ValueError.
+which skip the dispatch.  The law is supported for noncentralities up to
+LAM_MAX = 1e10, where every one of these kernels is still finite (SciPy's CDF
+is NaN in the bulk from about lam = 4.2e10); ``ChiSqParams``, the critical
+values and the powers reject a larger lam before any kernel runs.
 A random stream is an SFC64 generator seeded by ``SeedSequence`` hashing of
 the fixed-width key (seed, stream_id) (stream layout 5), so distinct ids give
 independent streams whatever the order in which they are drawn.  A fit-table
 cell draws all its replications from its own stream, row after row (stream
-layout 4).  ``sample_chisq`` draws a noncentral chi-squared with nu >= 1 as a
-shifted normal squared plus a central remainder (stream layout 3).
+layout 4).  ``sample_chisq`` draws a central chi-squared as 2 Gamma(nu/2), a
+noncentral one with nu >= 1 as a shifted normal squared plus that central
+remainder, and one with nu < 1 as a Poisson mixture; a calibration shares one
+block of normals and remainders across its noncentralities (stream layout 6,
+in ``sim``).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from scipy.special._ufuncs import _ncx2_sf
 __all__ = [
     "RandomStream",
     "ChiSqParams",
+    "LAM_MAX",
     "normal_quantile",
     "chisq_cdf",
     "chisq_quantile",
@@ -121,6 +127,20 @@ def check_lam(lam, name: str = "lam") -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {lam}")
 
 
+LAM_MAX = 1e10  # largest noncentrality of the chi-squared law: SciPy's kernels are finite up to it
+
+
+def check_law(nu, lam) -> None:
+    """Reject chi2(nu, lam) outside its supported range: nu positive and
+    finite, lam from 0 to LAM_MAX; NaN fails.  Above LAM_MAX the message
+    names nu and lam as ``_nan_error`` does."""
+    if not (0.0 < nu < math.inf and 0.0 <= lam <= LAM_MAX):  # one test on the usual path
+        check_positive(nu, "nu")
+        check_lam(lam)
+        raise ValueError(f"no chi-squared law for nu = {float(nu)}, lam = {float(lam)}: lam must "
+                         f"be at most LAM_MAX = {LAM_MAX:g}, where SciPy's kernels are finite")
+
+
 def check_statistic(s) -> None:
     """Reject a chi-squared statistic that is negative or NaN; an array fails
     on its first such entry."""
@@ -137,14 +157,13 @@ def check_level(p, name: str) -> None:
 
 @dataclass(frozen=True)
 class ChiSqParams:
-    """Degrees of freedom nu > 0 and noncentrality lam >= 0."""
+    """Degrees of freedom nu > 0 and noncentrality 0 <= lam <= LAM_MAX."""
 
     nu: float
     lam: float = 0.0
 
     def __post_init__(self):
-        check_positive(self.nu, "nu")
-        check_lam(self.lam)
+        check_law(self.nu, self.lam)
 
 
 def normal_quantile(p):
@@ -158,9 +177,8 @@ def normal_quantile(p):
 
 
 def _nan_error(what: str, nu: float, lam: float, kernel: str = "chndtr") -> ValueError:
-    """The error for a point where SciPy's kernel is NaN.  ``check_lam``
-    accepts every finite lam, but ``chndtr`` in the bulk is NaN from about
-    lam = 4.2e10; raising keeps a NaN from being returned, cached or decided on."""
+    """The error for a point where SciPy's kernel is NaN: none is known up to
+    LAM_MAX, but raising keeps a NaN from being returned, cached or decided on."""
     return ValueError(f"no chi-squared {what} for nu = {nu}, lam = {lam}: "
                       f"SciPy's {kernel} returns NaN there")
 
@@ -229,8 +247,9 @@ _cdf = cython_special.chndtr  # _cdf(x, nu, lam) = P(S <= x) for S ~ chi2(nu, la
 @functools.lru_cache(maxsize=256)
 def _quantile(p: float, nu: float, lam: float) -> float:
     """The p quantile of chi2(nu, lam), the equivalence critical value at
-    p = alpha.  SciPy's is NaN from about lam = 1.66e11 at p = 0.05 (4.3e10 at
-    p = 0.95); that raises."""
+    p = alpha.  A lam above LAM_MAX raises before SciPy's search starts: past
+    it the search runs for seconds (9 s at lam = 1e17) and ends in NaN."""
+    check_law(nu, lam)
     q = cython_special.chndtrix(p, nu, lam)
     if math.isnan(q):
         raise _nan_error(f"quantile at p = {p}", nu, lam, "chndtrix")

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import RandomStream, _cdf, _is_int, _lof_critical, _nan_error, _quantile, _sf, check_lam, \
-    check_level, check_positive, check_probs, check_statistic
+from .dist import RandomStream, _cdf, _is_int, _lof_critical, _nan_error, _quantile, _sf, check_law, \
+    check_level, check_probs, check_statistic
 from .evidence import EquivalenceParams
 
 __all__ = [
@@ -113,8 +113,7 @@ def power_lack_of_fit(alpha: float, nu: float, lam: float) -> float:
     """P(S >= c) for S ~ chi2(nu, lam), c the level-alpha critical value
     ``_lof_critical(nu, alpha)``, which ``multinomial_power_mc`` shares."""
     check_level(alpha, "alpha")
-    check_positive(nu, "nu")
-    check_lam(lam)
+    check_law(nu, lam)
     return _sf(_lof_critical(float(nu), float(alpha)), nu, lam)
 
 
@@ -122,7 +121,7 @@ def power_equivalence(alpha: float, params: EquivalenceParams, lam: float) -> fl
     """P(S <= c) for S ~ chi2(nu, lam), c the level-alpha critical value
     ``_quantile(alpha, nu, lambda0)``, which ``equivalence_test`` shares."""
     check_level(alpha, "alpha")
-    check_lam(lam)
+    check_law(params.nu, lam)
     c = _quantile(float(alpha), float(params.nu), float(params.lambda0))
     power = _cdf(c, params.nu, lam)
     if math.isnan(power):

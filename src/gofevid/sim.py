@@ -1,19 +1,26 @@
 """Deterministic Monte Carlo harness for the calibration studies.
 
-Every scenario is reproducible from (config, seed): each grid point, table
-cell or Table 1 row draws from the stream keyed by its position,
+Every scenario is reproducible from (config, seed): each table cell or
+Table 1 row draws from the stream keyed by its position,
 ``RandomStream(seed, index)``, an SFC64 generator seeded by ``SeedSequence``
-hashing of that key (stream layout 5).  Those grid points, cells and rows are
+hashing of that key (stream layout 5), and a calibration from stream 0 or,
+for nu < 1, its grid point's stream (below).  Grid points, cells and rows are
 a scenario's units: with more than one worker they run on a thread pool that
 outlives the call (one per worker count, at most the usable CPUs), the table
 cells largest first, and the rows come back in input order.  Output is
 byte-identical for any worker count.
 
-A calibration grid point draws its replications from its own stream in blocks
-of VST_BLOCK (``dist.sample_chisq``: for nu >= 1 the block's standard normals,
-then its gammas), transforms each block and merges the blocks' moments, so its
-memory is bounded for any reps.  That is stream layout 3; layout 2 drew all
-reps at once from the Poisson mixture.
+A calibration draws its replications in blocks of VST_BLOCK; each grid point
+transforms each block and merges the blocks' moments, so memory is bounded
+for any reps.  For nu >= 1 the grid shares its draws (common random numbers,
+stream layout 6): block b is drawn once from stream 0, its standard normals Z
+and then, for nu > 1, its central remainders R ~ chi2(nu - 1)
+(``dist.sample_chisq``), and grid point i transforms (Z + sqrt(lambda_i))^2 + R,
+a chi2(nu, lambda_i) draw.  Each row's mean, sd and mc_se hold on their own;
+the rows' errors are correlated.  For nu < 1 grid point i draws its blocks
+from stream i by the Poisson mixture.  Up to layout 5 every grid point drew
+from its own stream (layout 3: as a shifted normal squared plus a remainder;
+layout 2: all reps at once from the Poisson mixture).
 
 The fit tables stack their replications into rows and fit a block of rows at
 once.  Replication i of a cell is row i of the cell's stream, and each block
@@ -45,7 +52,8 @@ import scipy
 
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import FAMILIES, ChiSqParams, RandomStream, _is_int, count_pmf, count_support, sample_chisq
+from .dist import FAMILIES, ChiSqParams, RandomStream, _is_int, check_law, count_pmf, count_support, \
+    sample_chisq
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
@@ -81,9 +89,10 @@ MAX_TABLE_N = 10_000_000  # largest sample size a fit-table cell or table1_model
 # 3: a calibration grid point draws chi2(nu, lam), nu >= 1, as a shifted normal
 #    squared plus a central remainder, in blocks of VST_BLOCK replications;
 # 4: replication i of a fit-table cell or Table 1 row is row i of its stream;
-# 5: every stream is SFC64 seeded by SeedSequence hashing of (seed, index), not Philox
-STREAM_LAYOUT = 5
-VST_BLOCK = 2**16  # replications a calibration grid point draws and transforms at once
+# 5: every stream is SFC64 seeded by SeedSequence hashing of (seed, index), not Philox;
+# 6: for nu >= 1 a calibration draws each block once, from stream 0, for its whole grid
+STREAM_LAYOUT = 6
+VST_BLOCK = 2**16  # replications a calibration draws and transforms at once
 
 
 @dataclass(frozen=True)
@@ -185,9 +194,12 @@ def _validate_params(scenario: str, params: dict) -> None:
     for key in ("nu", "lambda0"):
         if key in params and not (_is_real(params[key]) and params[key] > 0):
             raise ValueError(f"{key} must be a positive number")
-    if "lambda_grid" in params and not all(
-            _is_real(l) and l >= 0 for l in _nonempty_list(params, "lambda_grid")):
-        raise ValueError("lambda_grid values must be nonnegative numbers")
+    if "lambda_grid" in params:
+        if not all(_is_real(l) and l >= 0 for l in _nonempty_list(params, "lambda_grid")):
+            raise ValueError("lambda_grid values must be nonnegative numbers")
+        nu = params.get("nu", SCENARIOS[scenario][1]["nu"])
+        for lam in params["lambda_grid"]:  # the law's range, checked before anything is drawn
+            check_law(nu, lam)
     if "families" in params:
         bad = [f for f in _nonempty_list(params, "families") if f not in TABLE3_FAMILIES]
         if bad:
@@ -278,19 +290,37 @@ def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, see
              workers: int):
     """Summaries of transform(S), S ~ chi2(nu, lambda), one unit per lambda.
 
-    A unit draws its reps in blocks of VST_BLOCK from its own stream and
-    merges the blocks' moments, so memory stays bounded for any reps.
+    Replications come in blocks of VST_BLOCK and each grid point merges the
+    blocks' moments, so memory stays bounded for any reps.  For nu >= 1 each
+    block is drawn once, Z ~ N(0, 1) then R ~ chi2(nu - 1) from stream 0, and
+    every grid point transforms its own S = (Z + sqrt(lambda))^2 + R from the
+    shared arrays.  For nu < 1 grid point i draws S from stream i.
     """
-    def unit(item):
-        idx, lam = item
-        stream, params = RandomStream(seed, idx), ChiSqParams(nu, lam)
-        acc = (0, 0.0, 0.0)
-        for lo in range(0, reps, VST_BLOCK):
-            size = min(VST_BLOCK, reps - lo)
-            acc = _merge_moments(acc, _moments(transform(sample_chisq(stream, params, size=size))))
-        return _summary((*grid_head, lam), *acc)
+    grid = [float(l) for l in lambda_grid]
+    params = [ChiSqParams(nu, lam) for lam in grid]  # every lambda checked before any draw
+    blocks = [min(VST_BLOCK, reps - lo) for lo in range(0, reps, VST_BLOCK)]
+    if nu < 1.0:
+        def point(idx):
+            stream, acc = RandomStream(seed, idx), (0, 0.0, 0.0)
+            for size in blocks:
+                acc = _merge_moments(acc, _moments(transform(sample_chisq(stream, params[idx], size))))
+            return acc
 
-    return _map_units(unit, list(enumerate(float(l) for l in lambda_grid)), workers)
+        accs = _map_units(point, list(range(len(grid))), workers)
+    else:
+        stream, accs = RandomStream(seed, 0), [(0, 0.0, 0.0)] * len(grid)
+        for size in blocks:
+            z = stream.gen.standard_normal(size)
+            rest = sample_chisq(stream, ChiSqParams(nu - 1.0), size) if nu > 1.0 else None
+
+            def point(lam):
+                s = np.square(z + math.sqrt(lam))
+                if rest is not None:
+                    s += rest
+                return _moments(transform(s))
+
+            accs = list(map(_merge_moments, accs, _map_units(point, grid, workers)))
+    return [_summary((*grid_head, lam), *acc) for lam, acc in zip(grid, accs)]
 
 
 def run_vst_lof(nu: float, lambda_grid, reps: int, seed: int, workers: int = 1):

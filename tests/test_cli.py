@@ -280,6 +280,14 @@ class TestSimulate:
         mean = float(row6[header.index("mean_t")])
         assert abs(mean - 0.95) < 0.07
 
+    def test_lambda_above_law_range_exits_1_before_drawing(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "vst_lof_calibration",
+                               "--reps", "100", "--out", str(tmp_path),
+                               "--params", '{"lambda_grid": [0, 1e11]}')
+        assert code == 1
+        assert "nu = 1.0, lam = 100000000000.0: lam must be at most" in err
+        assert not (tmp_path / "vst_lof_calibration" / "vst_lof_calibration.csv").exists()
+
     @pytest.mark.parametrize("scenario,params,message", [
         ("vst_lof_calibration", '{"nu": "a"}', "nu must be a positive number"),
         ("vst_lof_calibration", '{"lambda_grid": 5}', "lambda_grid must be a nonempty list"),

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.special import cython_special
 import oracles
 from gofevid import dist
 from gofevid.boundary import euclid_d, lambda0_uniform, least_divergent_point
-from gofevid.dist import ChiSqParams, RandomStream, chisq_cdf, chisq_quantile, sample_chisq
-from gofevid.evidence import EquivalenceParams
+from gofevid.dist import LAM_MAX, ChiSqParams, RandomStream, chisq_cdf, chisq_quantile, sample_chisq
+from gofevid.evidence import EquivalenceParams, equiv_transform, expected_evidence_equiv
 from gofevid.pearson import (
     CellData,
     equivalence_test,
@@ -173,8 +174,9 @@ class TestPowerLackOfFit:
         assert worst <= 5e-14
 
     def test_overflowing_noncentrality_raises(self):
-        # SciPy's chndtr gives NaN at lam = 1e20
-        with pytest.raises(ValueError, match="nu = 5, lam = 1e[+]20: SciPy's chndtr returns NaN"):
+        # SciPy's chndtr gives NaN at lam = 1e20, far above LAM_MAX
+        assert power_lack_of_fit(0.05, 5, LAM_MAX) == 1.0
+        with pytest.raises(ValueError, match="nu = 5.0, lam = 1e[+]20: lam must be at most"):
             power_lack_of_fit(0.05, 5, 1e20)
 
     def test_critical_value_shared_with_monte_carlo(self):
@@ -195,8 +197,9 @@ class TestPowerEquivalence:
         assert vals[0] > vals[1] > vals[2]
 
     def test_overflowing_noncentrality_raises(self):
-        assert power_equivalence(0.05, EquivalenceParams(5, 12), 1e18) == 0.0
-        with pytest.raises(ValueError, match="nu = 5, lam = 1e[+]19: SciPy's chndtr returns NaN"):
+        # SciPy's chndtr gives NaN at lam = 1e19, far above LAM_MAX
+        assert power_equivalence(0.05, EquivalenceParams(5, 12), LAM_MAX) == 0.0
+        with pytest.raises(ValueError, match="nu = 5.0, lam = 1e[+]19: lam must be at most"):
             power_equivalence(0.05, EquivalenceParams(5, 12), 1e19)
 
     @pytest.mark.parametrize("alpha", [0.05, 1e-6])
@@ -307,8 +310,9 @@ class TestCriticalValueCache:
 
 
 class TestUncomputableQuantile:
-    """SciPy's chndtrix is NaN from about lam = 1.66e11 at p = 0.05; a
-    critical value there raises instead of deciding on NaN, and is not cached."""
+    """SciPy's chndtrix is NaN from about lam = 1.66e11 at p = 0.05, after a
+    search of up to seconds; a critical value above LAM_MAX raises before that
+    search instead of deciding on NaN, and is not cached."""
 
     @pytest.mark.parametrize("call, lam", [
         (lambda: chisq_quantile(0.05, ChiSqParams(5, 1e12)), "1000000000000.0"),
@@ -330,6 +334,35 @@ class TestUncomputableQuantile:
         assert equivalence_test(3.0, params, 0.05).critical_value == c
         assert power_equivalence(0.05, params, 0.0) == 1.0
         assert power_equivalence(0.05, params, 1e10) == pytest.approx(0.05, rel=1e-9)
+
+
+class TestLamMax:
+    """Every evaluation of chi2(nu, lam) accepts lam up to LAM_MAX = 1e10, where
+    SciPy's kernels are finite, and rejects a larger lam before any kernel runs."""
+
+    ABOVE = math.nextafter(dist.LAM_MAX, math.inf)
+    PARAMS = EquivalenceParams(5, 12)
+
+    @pytest.mark.parametrize("call", [
+        lambda lam: chisq_cdf(lam + 5, ChiSqParams(5, lam)),
+        lambda lam: chisq_quantile(0.95, ChiSqParams(5, lam)),
+        lambda lam: power_lack_of_fit(0.05, 5, lam),
+        lambda lam: power_equivalence(0.05, TestLamMax.PARAMS, lam),
+        lambda lam: power_equivalence(0.05, EquivalenceParams(5, lam), 0.0),
+        lambda lam: equivalence_test(3.0, EquivalenceParams(5, lam), 0.05).critical_value,
+    ], ids=["chisq_cdf", "chisq_quantile", "power_lack_of_fit", "power_equivalence-lam",
+            "power_equivalence-lambda0", "equivalence_test-lambda0"])
+    def test_finite_at_the_bound_and_rejected_above_it(self, call):
+        assert math.isfinite(call(dist.LAM_MAX))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"nu = 5.0, lam = {self.ABOVE!r}: lam must be at most"):
+            call(self.ABOVE)
+        assert time.perf_counter() - start < 0.1
+
+    def test_transforms_stay_open(self):
+        params = EquivalenceParams(5, 1e17)
+        assert math.isfinite(equiv_transform(3.0, params))
+        assert math.isfinite(expected_evidence_equiv(params, 1e17))
 
 
 class TestEquivalenceTest:

@@ -17,7 +17,7 @@ from gofevid.dist import FAMILIES, ChiSqParams, RandomStream, count_pmf, count_s
     sample_chisq, sample_family
 from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
 from gofevid.model_fit import evidence_for_normality
-from gofevid import pearson, sim
+from gofevid import dist, pearson, sim
 from gofevid.boundary import least_divergent_point
 from gofevid.pearson import multinomial_power_mc, row_blocks
 from gofevid.sim import (
@@ -59,8 +59,9 @@ class TestRunVstLof:
 
 
 class TestVstBlocks:
-    """More than VST_BLOCK replications are drawn block by block from the grid
-    point's stream and their moments merged."""
+    """More than VST_BLOCK replications are drawn block by block, for nu >= 1
+    once per block for the whole grid, and each grid point merges the blocks'
+    moments."""
 
     def test_merged_summary_matches_one_pass(self):
         reps, nu, lam = sim.VST_BLOCK + 1, 5.0, 8.0
@@ -74,21 +75,97 @@ class TestVstBlocks:
         assert row.mc_se == pytest.approx(t.std(ddof=1) / math.sqrt(reps), rel=1e-12)
 
     def test_draws_never_exceed_a_block(self, monkeypatch):
-        sizes = []
+        normals, remainders = [], []
         sample = sim.sample_chisq
 
+        class RecordingGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size):
+                normals.append(size)
+                return self.gen.standard_normal(size)
+
+            def standard_gamma(self, shape, size):
+                return self.gen.standard_gamma(shape, size=size)
+
+        class RecordingStream(RandomStream):
+            @property
+            def gen(self):
+                return RecordingGenerator(RandomStream.gen.fget(self))
+
         def recording(stream, params, size):
-            sizes.append(size)
+            remainders.append((params.nu, params.lam, size))
             return sample(stream, params, size)
 
+        monkeypatch.setattr(sim, "RandomStream", RecordingStream)
         monkeypatch.setattr(sim, "sample_chisq", recording)
-        run_vst_equiv(1.0, 12.0, [3.0], reps=2 * sim.VST_BLOCK + 5, seed=2)
-        assert sizes == [2**16, 2**16, 5]  # for nu > 1 the block size is part of layout 3
+        for nu in (1.0, 5.0):
+            normals.clear()
+            remainders.clear()
+            run_vst_equiv(nu, 12.0, [0.0, 3.0, 12.0], reps=2 * sim.VST_BLOCK + 5, seed=2)
+            # one shared draw per block for all three grid points; the block size is part of layout 6
+            assert normals == [2**16, 2**16, 5]
+            assert remainders == ([(nu - 1.0, 0.0, size) for size in normals] if nu > 1.0 else [])
 
     def test_workers_equivalent(self):
         a = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=1)
         b = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=2)
         assert a == b
+
+
+class TestStreamLayout6:
+    """For nu >= 1 block b is Z ~ N(0, 1) and then, for nu > 1, R ~ chi2(nu - 1),
+    drawn once from RandomStream(seed, 0); grid point i transforms
+    (Z + sqrt(lambda_i))^2 + R.  For nu < 1 grid point i draws from stream i."""
+
+    GRID = [0.0, 0.5, 12.0, 30.0]
+    REPS = sim.VST_BLOCK + 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("nu", [1.0, 5.0])
+    def test_shared_blocks(self, nu, workers):
+        gen = RandomStream(19, 0).gen
+        blocks = []
+        for size in (sim.VST_BLOCK, 5):
+            z = gen.standard_normal(size)
+            rest = 2.0 * gen.standard_gamma(0.5 * (nu - 1.0), size=size) if nu > 1.0 else 0.0
+            blocks.append((z, rest))
+        want = []
+        for lam in self.GRID:
+            acc = (0, 0.0, 0.0)
+            for z, rest in blocks:
+                acc = sim._merge_moments(acc, sim._moments(
+                    lof_transform(np.square(z + math.sqrt(lam)) + rest, nu)))
+            want.append(sim._summary((nu, lam), *acc))
+        assert run_vst_lof(nu, self.GRID, reps=self.REPS, seed=19, workers=workers) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equivalence_shares_the_blocks(self, workers):
+        params = EquivalenceParams(5.0, 12.0)
+        gen = RandomStream(20, 0).gen
+        z = gen.standard_normal(1000)
+        rest = 2.0 * gen.standard_gamma(2.0, size=1000)
+        want = [sim._summarize((5.0, 12.0, lam), equiv_transform(
+            np.square(z + math.sqrt(lam)) + rest, params, bias_adjust=True)) for lam in self.GRID]
+        assert run_vst_equiv(5.0, 12.0, self.GRID, reps=1000, seed=20, workers=workers) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_nu_keeps_per_point_streams(self, workers):
+        nu = 0.5
+        want = []
+        for idx, lam in enumerate(self.GRID):
+            stream, params, acc = RandomStream(19, idx), ChiSqParams(nu, lam), (0, 0.0, 0.0)
+            for size in (sim.VST_BLOCK, 5):
+                acc = sim._merge_moments(acc, sim._moments(
+                    lof_transform(sample_chisq(stream, params, size), nu)))
+            want.append(sim._summary((nu, lam), *acc))
+        assert run_vst_lof(nu, self.GRID, reps=self.REPS, seed=19, workers=workers) == want
+
+    def test_every_lambda_checked_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(sim, "RandomStream", None)  # any draw would fail on this
+        with pytest.raises(ValueError, match="lam = 20000000000.0:"):
+            run_vst_lof(5.0, [0.0, 2e10], reps=100, seed=1)
 
 
 class TestRunVstEquiv:
@@ -237,6 +314,16 @@ class TestRunTable1:
 
 
 class TestSimConfig:
+    @pytest.mark.parametrize("scenario, params, nu", [
+        ("vst_lof_calibration", {"lambda_grid": [0, 2e10]}, 1.0),
+        ("vst_equiv_calibration", {"nu": 5, "lambda_grid": [math.nextafter(1e10, math.inf)]}, 5.0),
+    ])
+    def test_lambda_grid_capped_at_the_law_range(self, scenario, params, nu):
+        lam = params["lambda_grid"][-1]
+        with pytest.raises(ValueError, match=f"nu = {nu}, lam = {lam!r}: lam must be at most"):
+            SimConfig(scenario, 100, 1, params)
+        SimConfig(scenario, 100, 1, {**params, "lambda_grid": [0, dist.LAM_MAX]})
+
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             SimConfig(scenario="nope", reps=1000, seed=0)
@@ -580,7 +667,7 @@ class TestRunScenario:
         config = SimConfig(scenario="table1_models", reps=1000, seed=6)
         run_scenario(config, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 5
+        assert manifest["stream_layout"] == sim.STREAM_LAYOUT == 6
         assert manifest["versions"] == {"gofevid": __version__, "numpy": np.__version__,
                                         "scipy": scipy.__version__}
 
