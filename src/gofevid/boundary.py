@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .dist import _is_int, check_positive, check_probs
+from .dist import check_int, check_positive, check_probs
 
 __all__ = [
     "euclid_d",
@@ -17,12 +17,6 @@ __all__ = [
     "sample_size",
     "table2",
 ]
-
-
-def check_r(r) -> None:
-    """Reject a cell count r that is not an integer >= 2."""
-    if not (_is_int(r) and r >= 2):
-        raise ValueError("r must be an integer >= 2")
 
 
 def check_k(k) -> None:
@@ -57,7 +51,7 @@ def sup_M(p, q) -> float:
 
 def lambda0_uniform(n: int, r: int, k: float) -> float:
     """Boundary noncentrality n k^2 / (r - 1) for equivalence to uniformity."""
-    check_r(r)
+    check_int(r, "r", 2)
     check_k(k)
     check_positive(n, "n")
     return n * k * k / (r - 1)
@@ -65,7 +59,7 @@ def lambda0_uniform(n: int, r: int, k: float) -> float:
 
 def inradius(r: int) -> float:
     """Radius 1/sqrt(r(r-1)) of the ball inscribed in the (r-1)-simplex."""
-    check_r(r)
+    check_int(r, "r", 2)
     return 1.0 / math.sqrt(r * (r - 1))
 
 
@@ -77,7 +71,7 @@ def least_divergent_point(r: int, d0: float) -> np.ndarray:
     with the large coordinate first (any permutation is equally optimal).
     Requires d0 < sqrt(1-1/r) so that all entries stay positive.
     """
-    check_r(r)
+    check_int(r, "r", 2)
     if not (0.0 < d0 < math.sqrt(1.0 - 1.0 / r)):
         raise ValueError(f"d0 must lie in (0, sqrt(1 - 1/r)) = (0, {math.sqrt(1 - 1 / r)})")
     step = d0 * math.sqrt(1.0 - 1.0 / r)
@@ -93,8 +87,10 @@ def sample_size(m0: float, nu: float, r: int, d0: float) -> int:
     keeps every expected cell count at or above 5.
     """
     if not (0.0 < m0 < math.inf and 0.0 < nu < math.inf and 0.0 < d0 < math.inf):
-        raise ValueError("m0, nu, d0 must all be positive and finite")
-    check_r(r)
+        check_positive(m0, "m0")  # the owner's message, off the usual path
+        check_positive(nu, "nu")
+        check_positive(d0, "d0")
+    check_int(r, "r", 2)
     try:
         n = ((m0 + math.sqrt(0.5 * nu)) ** 2 - 0.5 * nu) / (r * d0 * d0)
     except (OverflowError, ZeroDivisionError):  # the square overflows, or d0 * d0 underflows
@@ -116,6 +112,6 @@ def table2(m0_list, r_list, k: float = 1.0) -> np.ndarray:
     out = np.empty((len(m0_list), len(r_list)), dtype=np.int64)
     for i, m0 in enumerate(m0_list):
         for j, r in enumerate(r_list):
-            check_r(r)  # before d0 divides by sqrt(r (r - 1))
+            check_int(r, "r", 2)  # before d0 divides by sqrt(r (r - 1))
             out[i, j] = sample_size(m0, r - 1, r, k / math.sqrt(r * (r - 1)))
     return out

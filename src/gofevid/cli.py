@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .boundary import check_k, check_r, lambda0_uniform, sample_size
-from .dist import check_probs
+from .boundary import check_k, lambda0_uniform, sample_size
+from .dist import check_int, check_probs, clip_repr
 from .evidence import (
     EquivalenceParams,
     evidence_against,
@@ -24,7 +24,7 @@ from .evidence import (
 )
 from .pearson import CellData, pearson_stat
 from .model_fit import evidence_for_normality, evidence_for_poisson
-from .sim import SCENARIOS, SimConfig, clip_repr, run_scenario
+from .sim import SCENARIOS, SimConfig, run_scenario
 
 
 MAX_COUNT_VALUE = 1_000_000  # largest value an 'index,count' line may give
@@ -229,7 +229,7 @@ def cmd_evidence_equiv(args) -> int:
 def cmd_samplesize(args) -> int:
     check_k(args.k)
     r = args.r
-    check_r(r)  # before d0 divides by sqrt(r (r - 1))
+    check_int(r, "r", 2)  # before d0 divides by sqrt(r (r - 1))
     nu = float(r - 1)
     d0 = args.k / math.sqrt(r * (r - 1))
     n0 = sample_size(args.m0, nu, r, d0)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,25 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+_ECHO = reprlib.Repr()  # one level deep, a few short items: a few hundred characters at most
+_ECHO.maxlevel = 1
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 4
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+
+
+def clip_repr(value) -> str:
+    """repr(value), clipped so that an error message echoing input stays short."""
+    return _ECHO.repr(value)
+
+
+def check_int(value, name: str, low: int, high: int | None = None) -> None:
+    """Reject anything but a Python or numpy integer from low to high, or
+    from low up when high is None; bools fail."""
+    if not (_is_int(value) and low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ValueError(f"{name} must be an integer {bound}, got {clip_repr(value)}")
+
+
 class RandomStream:
     """A reproducible random source identified by (seed, stream_id).
 
@@ -74,8 +94,8 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not all(_is_int(v) and 0 <= v <= _MASK64 for v in (seed, stream_id)):
-            raise ValueError("seed and stream_id must be unsigned 64-bit integers")
+        check_int(seed, "seed", 0, _MASK64)
+        check_int(stream_id, "stream_id", 0, _MASK64)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._gen = None
@@ -122,7 +142,8 @@ def check_positive(x, name: str) -> None:
 
 
 def check_lam(lam, name: str = "lam") -> None:
-    """Reject a noncentrality that is not nonnegative and finite; NaN fails."""
+    """Reject a noncentrality, or another value, that is not nonnegative and
+    finite; NaN fails."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {lam}")
 
@@ -311,20 +332,17 @@ def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):
 
 
 def _sample_normal(g, size, mu=0.0, sigma=1.0):
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    check_positive(sigma, "sigma")
     return g.normal(mu, sigma, size=size)
 
 
 def _sample_logistic(g, size, loc=0.0, scale=1.0):
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    check_positive(scale, "scale")
     return g.logistic(loc, scale, size=size)
 
 
 def _sample_student_t(g, size, df=1.0):
-    if not df > 0:
-        raise ValueError("df must be positive")
+    check_positive(df, "df")
     return g.standard_t(df, size=size)
 
 
@@ -341,8 +359,8 @@ _COUNT_TAIL = 1e-20  # P(X >= K) left in the last cell of a count table
 
 def _count_law(kind: str, mu: float, alpha: float):
     """(cdf, sf) of a count law on integer arrays: P(X <= k) and P(X >= k)."""
-    if not (mu > 0 and alpha >= 0):
-        raise ValueError("need mu > 0 and alpha >= 0")
+    check_positive(mu, "mu")
+    check_lam(alpha, "alpha")
     if kind == "poisson" or (kind == "neg_binomial" and alpha == 0.0):
         return (lambda k: special.pdtr(k, mu)), (lambda k: special.pdtrc(k - 1, mu))
     if kind == "neg_binomial":

@@ -84,13 +84,11 @@ def J_noncentral(nu: float, lambdaA: float, lambdaB: float) -> float:
     e^(-lambda/2) times the central one, so that sliver (which matters only
     for nu below about 0.05) is added in closed form.
     """
-    check_positive(nu, "nu")
     check_lam(lambdaA, "lambdaA")
     check_lam(lambdaB, "lambdaB")
+    pa, pb = ChiSqParams(nu, lambdaA), ChiSqParams(nu, lambdaB)  # before the shortcut: lam <= LAM_MAX
     if lambdaA == lambdaB:
         return 0.0
-    pa = ChiSqParams(nu, lambdaA)
-    pb = ChiSqParams(nu, lambdaB)
     spans = [(nu + lam, 40.0 * math.sqrt(2.0 * nu + 4.0 * lam) + 20.0)
              for lam in (lambdaA, lambdaB)]
     lo = max(0.0, min(mean - half for mean, half in spans))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .boundary import lambda0_uniform
-from .dist import normal_quantile
+from .dist import check_positive, normal_quantile
 from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
     evidence_for_equivalence, max_expected_evidence
 from .pearson import _pearson, check_counts, pearson_stats
@@ -293,8 +293,7 @@ def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
     the last is {X >= r0 + r}, and both have expected count >= 5; the r - 2
     interior cells are the single values r0 + 2, ..., r0 + r - 1.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    check_positive(mu, "mu")
     mus = np.array([float(mu)])
     r0, r, lo, cdf = _tail_cells(n, mus)
     r0, r = int(r0[0]), int(r[0])

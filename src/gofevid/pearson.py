@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import RandomStream, _cdf, _is_int, _lof_critical, _nan_error, _quantile, _sf, check_law, \
-    check_level, check_probs, check_statistic
+from .dist import RandomStream, _cdf, _lof_critical, _nan_error, _quantile, _sf, check_int, \
+    check_law, check_level, check_probs, check_statistic
 from .evidence import EquivalenceParams
 
 __all__ = [
@@ -155,12 +155,6 @@ def equivalence_test(s: float, params: EquivalenceParams, alpha: float) -> Equiv
                                alpha=alpha, params=params)
 
 
-def _check_whole(value, name: str, low: int) -> None:
-    """Reject anything but a Python or numpy integer >= low; bools fail."""
-    if not (_is_int(value) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PowerEstimate:
     power: float
@@ -183,8 +177,8 @@ def multinomial_power_mc(
     stream's generator, made in blocks of rows, so the estimate is
     independent of how the replications are blocked (stream layout 4).
     """
-    _check_whole(n, "n", 1)
-    _check_whole(reps, "reps", MIN_POWER_REPS)
+    check_int(n, "n", 1)
+    check_int(reps, "reps", MIN_POWER_REPS)
     true_probs = np.asarray(true_probs, dtype=float)
     null_probs = np.asarray(null_probs, dtype=float)
     if true_probs.shape != null_probs.shape:

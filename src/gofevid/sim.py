@@ -41,7 +41,6 @@ import json
 import math
 import numbers
 import os
-import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -52,8 +51,8 @@ import scipy
 
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import FAMILIES, ChiSqParams, RandomStream, _is_int, check_law, count_pmf, count_support, \
-    sample_chisq
+from .dist import _MASK64, FAMILIES, ChiSqParams, RandomStream, check_int, check_law, check_level, \
+    check_positive, clip_repr, count_pmf, count_support, sample_chisq
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
@@ -136,32 +135,25 @@ class SimConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {clip_repr(self.scenario)}; "
                              f"choose from {tuple(SCENARIOS)}")
-        if not _is_int(self.reps):
-            raise ValueError(f"reps must be an integer, got {clip_repr(self.reps)}")
-        min_reps = MIN_POWER_REPS if self.scenario == "table1_models" else 100
-        if self.reps < min_reps:
-            raise ValueError(f"reps must be at least {min_reps}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {clip_repr(self.seed)}")
+        check_int(self.reps, "reps", MIN_POWER_REPS if self.scenario == "table1_models" else 100)
+        check_int(self.seed, "seed", 0, _MASK64)
         # plain ints, so that the manifest can write numpy integers as JSON
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
         _validate_params(self.scenario, self.params)
 
 
-_ECHO = reprlib.Repr()  # one level deep, a few short items: a few hundred characters at most
-_ECHO.maxlevel = 1
-_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = _ECHO.maxset = 4
-_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
-
-
-def clip_repr(value) -> str:
-    """repr(value), clipped so that an error message echoing input stays short."""
-    return _ECHO.repr(value)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+def _json_number(value, name: str) -> float:
+    """value as a float, once it is a real number such as an int or a float,
+    not a bool: dist's range checks take it from there, and their comparisons
+    raise TypeError on a string, None or a list.  An int past float64 becomes
+    an infinity, as 1e400 does in JSON."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {clip_repr(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _nonempty_list(params: dict, key: str) -> list:
@@ -172,16 +164,16 @@ def _nonempty_list(params: dict, key: str) -> list:
 
 
 def _check_dist(dist) -> None:
-    ok = (isinstance(dist, (list, tuple))
-          and ((len(dist) == 2 and dist[0] == "poisson")
-               or (len(dist) == 3 and dist[0] == "neg_binomial"
-                   and _is_real(dist[2]) and dist[2] >= 0))
-          and _is_real(dist[1]) and dist[1] > 0)
-    if not ok:
+    if not (isinstance(dist, (list, tuple))
+            and ((len(dist) == 2 and dist[0] == "poisson")
+                 or (len(dist) == 3 and dist[0] == "neg_binomial"))):
         raise ValueError(f"bad dists entry {clip_repr(dist)}: expected [\"poisson\", mu] or "
-                         "[\"neg_binomial\", mu, alpha] with mu > 0 and alpha >= 0")
-    # bounds the table width before anything is allocated; count_pmf's arguments share the cache
-    count_support(dist[0], dist[1], dist[2] if len(dist) == 3 else 0.0)
+                         "[\"neg_binomial\", mu, alpha]")
+    mu = _json_number(dist[1], "mu")
+    alpha = _json_number(dist[2], "alpha") if len(dist) == 3 else 0.0
+    # checks mu and alpha and bounds the table width before anything is allocated;
+    # count_pmf's arguments share the cache
+    count_support(dist[0], mu, alpha)
 
 
 def _validate_params(scenario: str, params: dict) -> None:
@@ -192,14 +184,12 @@ def _validate_params(scenario: str, params: dict) -> None:
         raise ValueError(f"unknown parameters {clip_repr(sorted(extra))} "
                          f"for scenario {scenario!r}")
     for key in ("nu", "lambda0"):
-        if key in params and not (_is_real(params[key]) and params[key] > 0):
-            raise ValueError(f"{key} must be a positive number")
+        if key in params:
+            check_positive(_json_number(params[key], key), key)
     if "lambda_grid" in params:
-        if not all(_is_real(l) and l >= 0 for l in _nonempty_list(params, "lambda_grid")):
-            raise ValueError("lambda_grid values must be nonnegative numbers")
         nu = params.get("nu", SCENARIOS[scenario][1]["nu"])
-        for lam in params["lambda_grid"]:  # the law's range, checked before anything is drawn
-            check_law(nu, lam)
+        for lam in _nonempty_list(params, "lambda_grid"):  # checked before anything is drawn
+            check_law(nu, _json_number(lam, "lambda_grid entry"))
     if "families" in params:
         bad = [f for f in _nonempty_list(params, "families") if f not in TABLE3_FAMILIES]
         if bad:
@@ -207,13 +197,13 @@ def _validate_params(scenario: str, params: dict) -> None:
     if "dists" in params:
         for dist in _nonempty_list(params, "dists"):
             _check_dist(dist)
-    if "n_list" in params and not all(  # one table row holds n values: bound it here
-            _is_int(n) and 100 <= n <= MAX_TABLE_N for n in _nonempty_list(params, "n_list")):
-        raise ValueError(f"n_list entries must be integers from 100 to {MAX_TABLE_N}")
-    if "n" in params and not (_is_int(params["n"]) and 1 <= params["n"] <= MAX_TABLE_N):
-        raise ValueError(f"n must be an integer from 1 to {MAX_TABLE_N}")
-    if "alpha" in params and not (_is_real(params["alpha"]) and 0 < params["alpha"] < 1):
-        raise ValueError("alpha must lie strictly in (0, 1)")
+    if "n_list" in params:  # one table row holds n values: bound it here
+        for n in _nonempty_list(params, "n_list"):
+            check_int(n, "n_list entry", 100, MAX_TABLE_N)
+    if "n" in params:
+        check_int(params["n"], "n", 1, MAX_TABLE_N)
+    if "alpha" in params:
+        check_level(_json_number(params["alpha"], "alpha"), "alpha")
 
 
 def _moments(values: np.ndarray) -> tuple:

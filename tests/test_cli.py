@@ -137,7 +137,7 @@ class TestSamplesize:
 
     @pytest.mark.parametrize("argv,message", [
         (["--m0", "3.3", "--r", "1"], "r must be an integer >= 2"),
-        (["--m0", "inf", "--r", "6"], "m0, nu, d0 must all be positive and finite"),
+        (["--m0", "inf", "--r", "6"], "m0 must be positive and finite, got inf"),
         (["--m0", "3.3", "--r", "6", "--k", "nan"], "k must lie in (0, 1]"),
         (["--m0", "1e308", "--r", "6"], "the required sample size is not a finite number"),
         (["--m0", "3.3", "--r", "6", "--k", "1e-300"],
@@ -289,13 +289,23 @@ class TestSimulate:
         assert not (tmp_path / "vst_lof_calibration" / "vst_lof_calibration.csv").exists()
 
     @pytest.mark.parametrize("scenario,params,message", [
-        ("vst_lof_calibration", '{"nu": "a"}', "nu must be a positive number"),
+        ("vst_lof_calibration", '{"nu": "a"}', "nu must be a number, got 'a'"),
+        ("vst_lof_calibration", '{"nu": true}', "nu must be a number, got True"),
+        ("table1_models", '{"alpha": true}', "alpha must be a number, got True"),
+        ("vst_equiv_calibration", '{"lambda0": 1e400}', "lambda0 must be positive and finite, got inf"),
+        ("table1_models", '{"alpha": 1}', "alpha must lie strictly in (0, 1), got 1.0"),
+        ("table1_models", '{"n": 0}', "n must be an integer from 1 to 10000000, got 0"),
         ("vst_lof_calibration", '{"lambda_grid": 5}', "lambda_grid must be a nonempty list"),
         ("poisson_fit_table", '{"dists": [["poisson"]]}', "bad dists entry"),
-        ("poisson_fit_table", '{"n_list": [100.5]}', "n_list entries must be integers"),
+        ("poisson_fit_table", '{"dists": [["poisson", "1"]]}', "mu must be a number, got '1'"),
+        ("poisson_fit_table", '{"n_list": [100.5]}',
+         "n_list entry must be an integer from 100 to 10000000, got 100.5"),
+        ("normal_fit_table", '{"n_list": [99]}',
+         "n_list entry must be an integer from 100 to 10000000, got 99"),
     ])
     def test_mistyped_params_exit_1(self, capsys, tmp_path, scenario, params, message):
-        code, _, err = run_cli(capsys, "simulate", "--scenario", scenario, "--reps", "100",
+        # 1000 replications: table1_models' floor, so each case fails on its params
+        code, _, err = run_cli(capsys, "simulate", "--scenario", scenario, "--reps", "1000",
                                "--out", str(tmp_path), "--params", params)
         assert code == 1
         assert message in err
@@ -330,7 +340,7 @@ class TestSimulate:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert code == 1
-        assert "n_list entries must be integers from 100 to 10000000" in err
+        assert "n_list entry must be an integer from 100 to 10000000, got 1000000000000" in err
         assert peak < 1 << 20
         assert not (tmp_path / "normal_fit_table").exists()
 
@@ -339,7 +349,7 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
                                "--reps", "200", "--out", str(tmp_path))
         assert code == 1
-        assert "reps must be at least 1000" in err
+        assert "reps must be an integer >= 1000, got 200" in err
 
     def test_tiny_neg_binomial_alpha_runs(self, capsys, tmp_path):
         # alpha mu = 1e-26: the law is Poisson(0.5) to double precision, not a point mass at 0

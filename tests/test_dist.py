@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,7 +204,9 @@ class TestRandomStream:
     @pytest.mark.parametrize("key", [(1.7,), (np.float64(2.9),), (True,), ("5",), (0, 1.0), (0, False)])
     def test_non_integers_rejected(self, key):
         # RandomStream(1.7) used to draw seed 1's stream
-        with pytest.raises(ValueError, match="seed and stream_id must be unsigned 64-bit integers"):
+        name, value = ("seed", key[0]) if len(key) == 1 else ("stream_id", key[1])
+        with pytest.raises(ValueError, match=f"^{name} must be an integer from 0 to "
+                                             f"18446744073709551615, got {re.escape(repr(value))}$"):
             RandomStream(*key)
 
     def test_numpy_integers_accepted(self):
@@ -282,6 +285,9 @@ class TestSampleFamily:
         s = RandomStream(0, 0)
         with pytest.raises(ValueError):
             sample_family(s, "normal", sigma=0.0)
+        for family, param in (("normal", "sigma"), ("logistic", "scale"), ("student_t", "df")):
+            with pytest.raises(ValueError, match=f"^{param} must be positive and finite, got inf$"):
+                sample_family(s, family, size=3, **{param: math.inf})
         with pytest.raises(ValueError):
             sample_family(s, "student_t", df=0.0)
         with pytest.raises(ValueError):

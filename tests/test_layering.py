@@ -1,7 +1,8 @@
 """Only ``dist`` calls SciPy's chi-squared kernels: every other module takes
 the noncentral chi-squared law from it, so the law has one definition.  No
 module uses SciPy's adaptive quadrature or root finders, which cost about
-0.3 s and 25 MB to import."""
+0.3 s and 25 MB to import.  Only ``dist`` tests whether a value is an
+integer: every other module calls ``dist.check_int``, so the rule has one copy."""
 
 import re
 from pathlib import Path
@@ -29,3 +30,7 @@ def test_no_module_names_scipy_integrate_or_optimize():
 
 def test_one_quantile_call():
     assert (SRC / "dist.py").read_text().count("chndtrix(") == 1
+
+
+def test_one_integer_rule():
+    assert [path.name for path in sorted(SRC.glob("*.py")) if "_is_int(" in path.read_text()] == ["dist.py"]

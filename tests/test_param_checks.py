@@ -1,12 +1,16 @@
 """Every public entry point that takes nu, lam, lambda0 or a test level
 rejects NaN, +-inf and out-of-range values with the message of the one
-check that owns the rule (``dist.check_positive(nu, "nu")``, ``check_lam``,
-``check_level`` and the lambda0 rule of ``EquivalenceParams``); ``equivalence_test`` rejects
-a negative or NaN statistic with the message of ``dist.check_statistic``, as
-the evidence transforms do.  ``multinomial_power_mc``
-takes only an integer sample size n >= 1 and integer reps >= 1000.  Every entry point that takes
-cell counts rejects float (even whole-valued), negative, empty, zero-total
-and wrongly shaped counts with the message of ``pearson.check_counts``."""
+check in ``dist`` that owns the rule (``check_positive(nu, "nu")``,
+``check_lam``, ``check_level``, ``check_law`` above LAM_MAX, and the lambda0
+rule of ``EquivalenceParams``); ``equivalence_test`` rejects a negative or
+NaN statistic with the message of ``dist.check_statistic``, as the evidence
+transforms do.  ``dist.check_int`` owns the integer rules: among them
+``multinomial_power_mc`` takes only an integer sample size n >= 1 and
+integer reps >= 1000, bools rejected.  ``sim`` only checks that a JSON
+parameter is a number before it hands the value to these owners; the CLI
+tests pin that path.  Every entry point that takes cell counts rejects
+float (even whole-valued), negative, empty, zero-total and wrongly shaped
+counts with the message of ``pearson.check_counts``."""
 
 import math
 import re
@@ -25,6 +29,8 @@ from gofevid.pearson import CellData, equivalence_test, multinomial_power_mc, pe
 NAN, INF = math.nan, math.inf
 P = EquivalenceParams(5, 12)
 UNIFORM = [0.25] * 4
+LAW_MAX = (r"no chi-squared law for nu = 5\.0, lam = {lam}\.0: lam must be at most LAM_MAX = 1e\+10, "
+           r"where SciPy's kernels are finite")  # dist.check_law's message above LAM_MAX
 
 
 def _power_mc(alpha):
@@ -63,6 +69,8 @@ CASES = [
     (lambda: _power_mc(-INF), r"alpha must lie strictly in \(0, 1\), got -inf"),
     (lambda: equivalence_test(-3.0, P, 0.05), "statistic s must be nonnegative and not NaN"),
     (lambda: equivalence_test(NAN, P, 0.05), "statistic s must be nonnegative and not NaN"),
+    (lambda: J_noncentral(5, 1e11, 1e11), LAW_MAX.format(lam="100000000000")),
+    (lambda: signed_root_J(EquivalenceParams(5, 2e10), 2e10), LAW_MAX.format(lam="20000000000")),
 ]
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -352,6 +353,7 @@ class TestSimConfig:
         ("poisson_fit_table", {"n_list": [100.5]}),
         ("normal_fit_table", {"families": 3}),
         ("table1_models", {"n": "100"}),
+        ("vst_lof_calibration", {"nu": 10**400}),  # past float64: once an OverflowError
     ])
     def test_mistyped_params(self, scenario, params):
         with pytest.raises(ValueError):
@@ -360,17 +362,19 @@ class TestSimConfig:
     @pytest.mark.parametrize("scenario", ["normal_fit_table", "poisson_fit_table"])
     def test_n_list_capped_before_allocating(self, scenario):
         tracemalloc.start()
-        with pytest.raises(ValueError, match="integers from 100 to 10000000"):
+        with pytest.raises(ValueError, match="^n_list entry must be an integer from 100 to 10000000, "
+                                             "got 1000000000000$"):
             SimConfig(scenario, 1000, 0, {"n_list": [10**12]})
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 1 << 20
-        with pytest.raises(ValueError, match="integers from 100 to 10000000"):
+        with pytest.raises(ValueError, match="^n_list entry must be an integer from 100 to 10000000, "
+                                             "got 10000001$"):
             SimConfig(scenario, 1000, 0, {"n_list": [sim.MAX_TABLE_N + 1]})
         SimConfig(scenario, 1000, 0, {"n_list": [100, sim.MAX_TABLE_N]})
 
     def test_table1_reps_floor(self):
-        with pytest.raises(ValueError, match="reps must be at least 1000"):
+        with pytest.raises(ValueError, match="^reps must be an integer >= 1000, got 200$"):
             SimConfig("table1_models", 200, 1)
         SimConfig("table1_models", 1000, 1)
         SimConfig("normal_fit_table", 200, 1)  # the other scenarios keep the floor of 100
@@ -381,13 +385,15 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("reps", [1000.0, 1000.5, True, "1000", None], ids=repr)
     def test_reps_must_be_an_integer(self, reps):
-        with pytest.raises(ValueError, match="^reps must be an integer, got "):
+        with pytest.raises(ValueError,
+                           match=f"^reps must be an integer >= 100, got {re.escape(repr(reps))}$"):
             SimConfig("normal_fit_table", reps, 1)
 
     @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1", None, -1, 2**64], ids=repr)
     def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
         # seed=1.7 once drew from stream seed 1 while the manifest recorded 1.7
-        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer, got "):
+        with pytest.raises(ValueError, match="^seed must be an integer from 0 to 18446744073709551615, "
+                                             f"got {re.escape(repr(seed))}$"):
             SimConfig("normal_fit_table", 1000, seed)
 
     def test_numpy_integers_stored_as_int(self, tmp_path):
