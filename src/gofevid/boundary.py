@@ -51,9 +51,9 @@ def sup_M(p, q) -> float:
 
 def lambda0_uniform(n: int, r: int, k: float) -> float:
     """Boundary noncentrality n k^2 / (r - 1) for equivalence to uniformity."""
+    check_int(n, "n", 1)
     check_int(r, "r", 2)
     check_k(k)
-    check_positive(n, "n")
     return n * k * k / (r - 1)
 
 

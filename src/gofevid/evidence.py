@@ -69,12 +69,15 @@ class EquivalenceParams:
 
 
 def _branch_root(s: np.ndarray, nu: float):
-    """(s < nu, the branch's root): sqrt(2 s) below s = nu and sqrt(s - nu/2)
-    above, one np.sqrt over the selected arguments.  Rejects a negative or
-    NaN statistic."""
+    """(the index of s < nu, a new array of the branch's root): sqrt(2 s) below
+    s = nu, written in by index over s - nu/2, and sqrt(s - nu/2) above, with
+    no masked select.  Rejects a negative or NaN statistic."""
     check_statistic(s)
-    lower = s < nu
-    return lower, np.sqrt(np.where(lower, 2.0 * s, s - 0.5 * nu))
+    lower = np.nonzero(s < nu)
+    root = s - 0.5 * nu
+    root[lower] = 2.0 * s[lower]
+    np.sqrt(root, out=root)
+    return lower, root
 
 
 def lof_transform(s, nu: float, bias_adjust: bool = True):
@@ -87,8 +90,10 @@ def lof_transform(s, nu: float, bias_adjust: bool = True):
     check_positive(nu, "nu")
     scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
-    lower, root = _branch_root(sa, nu)
-    out = root - np.where(lower, math.sqrt(2.0 * nu), math.sqrt(0.5 * nu))
+    lower, out = _branch_root(sa, nu)
+    below = out[lower] - math.sqrt(2.0 * nu)
+    out -= math.sqrt(0.5 * nu)
+    out[lower] = below
     if bias_adjust:
         out += 0.2 / math.sqrt(nu)
     return float(out[0]) if scalar else out
@@ -107,8 +112,10 @@ def equiv_transform(s, params: EquivalenceParams, bias_adjust: bool = True):
     sa = np.atleast_1d(np.asarray(s, dtype=float))
     c1 = math.sqrt(lam0 + 0.5 * nu)
     c0 = c1 - math.sqrt(0.5 * nu) + math.sqrt(2.0 * nu)
-    lower, root = _branch_root(sa, nu)
-    out = np.where(lower, c0, c1) - root
+    lower, out = _branch_root(sa, nu)
+    below = c0 - out[lower]
+    np.subtract(c1, out, out=out)
+    out[lower] = below
     if bias_adjust:
         out -= 0.5 / c1
     return float(out[0]) if scalar else out

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .boundary import lambda0_uniform
-from .dist import check_positive, normal_quantile
+from .dist import check_int, check_positive, normal_quantile
 from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
     evidence_for_equivalence, max_expected_evidence
 from .pearson import _pearson, check_counts, pearson_stats
@@ -101,6 +101,7 @@ class PoissonFitReport(_FitReport):
 
 def choose_r_normal(n: int) -> int:
     """Cell count for the normality pipeline: max(10, ceil(ln n))."""
+    check_int(n, "n", 1)
     if n < 50:
         raise ValueError("need n >= 50 so each of the >= 10 cells expects >= 5 observations")
     return max(10, int(math.ceil(math.log(n))))
@@ -293,6 +294,7 @@ def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
     the last is {X >= r0 + r}, and both have expected count >= 5; the r - 2
     interior cells are the single values r0 + 2, ..., r0 + r - 1.
     """
+    check_int(n, "n", 1)
     check_positive(mu, "mu")
     mus = np.array([float(mu)])
     r0, r, lo, cdf = _tail_cells(n, mus)

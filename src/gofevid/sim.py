@@ -44,6 +44,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +211,9 @@ def _moments(values: np.ndarray) -> tuple:
     """(n, mean, M2) of `values`, M2 being the sum of squared deviations from
     the mean: the terms ``values.std(ddof=1)`` sums."""
     mean = float(values.mean())
-    return len(values), mean, float(np.square(values - mean).sum())
+    dev = values - mean
+    np.square(dev, out=dev)
+    return len(values), mean, float(dev.sum())
 
 
 def _merge_moments(a: tuple, b: tuple) -> tuple:
@@ -304,7 +307,8 @@ def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, see
             rest = sample_chisq(stream, ChiSqParams(nu - 1.0), size) if nu > 1.0 else None
 
             def point(lam):
-                s = np.square(z + math.sqrt(lam))
+                s = z + math.sqrt(lam)
+                np.square(s, out=s)
                 if rest is not None:
                     s += rest
                 return _moments(transform(s))
@@ -419,28 +423,29 @@ SCENARIOS = {  # name -> (runner, default params); a scenario accepts just its d
 }
 
 
-def _fmt(value) -> str:
+def _formatter(value):
+    """Text of a cell of value's type: a float's repr, a tuple joined by '/', or str."""
     if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _csv_cells(row) -> dict:
-    """Column -> text of one row; a grid_point tuple spreads into grid_0, grid_1, ..."""
-    cells = {}
-    for f in fields(row):
-        value = getattr(row, f.name)
-        if f.name == "grid_point":
-            cells.update((f"grid_{i}", "/".join(map(str, v)) if isinstance(v, tuple) else _fmt(v))
-                         for i, v in enumerate(value))
-        else:
-            cells[f.name] = _fmt(value)
-    return cells
+        return float.__repr__
+    if isinstance(value, tuple):
+        return lambda v: "/".join(map(str, v))
+    return str
 
 
 def _rows_to_csv(rows) -> str:
-    table = [_csv_cells(row) for row in rows]
-    return "\n".join([",".join(table[0])] + [",".join(cells.values()) for cells in table]) + "\n"
+    """A header, then one line per row, columns and formatters from the first
+    row; a grid_point tuple (SimSummary's first field) spreads into grid_0, ..."""
+    names = [f.name for f in fields(rows[0])]
+    if names[0] == "grid_point":
+        rest = attrgetter(*names[1:])
+        cells = lambda row: (*row.grid_point, *rest(row))
+        names[:1] = [f"grid_{i}" for i in range(len(rows[0].grid_point))]
+    else:
+        cells = attrgetter(*names)
+    formats = [_formatter(v) for v in cells(rows[0])]
+    lines = [",".join(names)]
+    lines += [",".join([fmt(v) for fmt, v in zip(formats, cells(row))]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _rows_to_json(rows) -> str:

@@ -88,7 +88,7 @@ class TestLambda0Uniform:
 
     @pytest.mark.parametrize("n", [math.inf, math.nan, -1])
     def test_n_must_be_positive_and_finite(self, n):
-        with pytest.raises(ValueError, match="n must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {n!r}$"):
             lambda0_uniform(n, 6, 0.5)
 
 

@@ -198,8 +198,24 @@ def _masked_equiv(s, nu, lam0, bias_adjust):
     return out
 
 
+def _assert_masked_bytes(s, nu, lam0=12.0):
+    """Both transforms of s, with and without the bias adjustment, have the
+    masked formula's shape and bytes, and leave s as it was."""
+    before = s.copy()
+    for bias_adjust in (True, False):
+        got = lof_transform(s, nu, bias_adjust)
+        want = _masked_lof(s, nu, bias_adjust)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = equiv_transform(s, EquivalenceParams(nu, lam0), bias_adjust)
+        want = _masked_equiv(s, nu, lam0, bias_adjust)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert s.tobytes() == before.tobytes()
+
+
 class TestBranchFreeTransforms:
-    """np.where over one np.sqrt gives the masked formula's bytes exactly."""
+    """s - nu/2 over the whole array, 2 s written in below s = nu by index,
+    one in-place np.sqrt and the branch constants applied the same way give
+    the masked formula's bytes exactly."""
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 5.0, 14.0])
     @pytest.mark.parametrize("bias_adjust", [True, False])
@@ -217,3 +233,38 @@ class TestBranchFreeTransforms:
             assert lof_transform(s, 5.0) == _masked_lof(np.array([s]), 5.0, True)[0]
             assert equiv_transform(s, EquivalenceParams(5.0, 12.0)) == \
                 _masked_equiv(np.array([s]), 5.0, 12.0, True)[0]
+
+    @pytest.mark.parametrize("nu", [1.0, 5.0])
+    def test_all_below(self, nu):
+        s = np.linspace(0.0, np.nextafter(nu, 0.0), 1001)
+        assert (s < nu).all()
+        _assert_masked_bytes(s, nu)
+
+    @pytest.mark.parametrize("nu", [1.0, 5.0])
+    def test_all_above(self, nu):
+        # at s = nu + lambda0 the unadjusted equivalence evidence is +0.0, not -0.0
+        s = np.concatenate([np.linspace(nu, 1e6, 1001), [nu + 12.0, np.inf]])
+        assert (s >= nu).all()
+        _assert_masked_bytes(s, nu)
+
+    def test_two_dimensional(self):
+        draws = sample_chisq(RandomStream(19, 3), ChiSqParams(5.0, 3.0), size=2000)
+        s = draws.reshape(40, 50)
+        assert (s < 5.0).any() and (s >= 5.0).any()
+        _assert_masked_bytes(s, 5.0)
+        _assert_masked_bytes(s[:, ::3], 5.0)  # a strided view
+
+    def test_empty(self):
+        s = np.empty(0)
+        _assert_masked_bytes(s, 5.0)
+        assert lof_transform(s, 5.0).dtype == np.float64
+
+    @pytest.mark.parametrize("nu", [1.0, 5.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 25.0])
+    def test_calibration_blocks(self, nu, lam):
+        # the blocks sim._run_vst transforms: (Z + sqrt(lam))^2 + R, R ~ chi2(nu - 1)
+        stream = RandomStream(29, int(10 * lam))
+        s = np.square(stream.gen.standard_normal(10_000) + math.sqrt(lam))
+        if nu > 1.0:
+            s += sample_chisq(stream, ChiSqParams(nu - 1.0), 10_000)
+        _assert_masked_bytes(s, nu)

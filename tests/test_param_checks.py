@@ -6,7 +6,9 @@ rule of ``EquivalenceParams``); ``equivalence_test`` rejects a negative or
 NaN statistic with the message of ``dist.check_statistic``, as the evidence
 transforms do.  ``dist.check_int`` owns the integer rules: among them
 ``multinomial_power_mc`` takes only an integer sample size n >= 1 and
-integer reps >= 1000, bools rejected.  ``sim`` only checks that a JSON
+integer reps >= 1000, bools rejected, and ``combine_cells_poisson``,
+``choose_r_normal`` and ``lambda0_uniform`` take only an integer n >= 1
+before their own floors.  ``sim`` only checks that a JSON
 parameter is a number before it hands the value to these owners; the CLI
 tests pin that path.  Every entry point that takes cell counts rejects
 float (even whole-valued), negative, empty, zero-total and wrongly shaped
@@ -18,11 +20,13 @@ import re
 import numpy as np
 import pytest
 
+from gofevid.boundary import lambda0_uniform
 from gofevid.dist import ChiSqParams, RandomStream, chisq_quantile, normal_quantile
 from gofevid.divergence import J_noncentral, signed_root_J
 from gofevid.evidence import EquivalenceParams, expected_evidence_against, \
     expected_evidence_equiv, lof_transform
-from gofevid.model_fit import evidence_for_poisson, poisson_evidence_rows, poisson_mle
+from gofevid.model_fit import choose_r_normal, combine_cells_poisson, evidence_for_poisson, \
+    poisson_evidence_rows, poisson_mle
 from gofevid.pearson import CellData, equivalence_test, multinomial_power_mc, pearson_stats, \
     power_equivalence, power_lack_of_fit
 
@@ -71,6 +75,9 @@ CASES = [
     (lambda: equivalence_test(NAN, P, 0.05), "statistic s must be nonnegative and not NaN"),
     (lambda: J_noncentral(5, 1e11, 1e11), LAW_MAX.format(lam="100000000000")),
     (lambda: signed_root_J(EquivalenceParams(5, 2e10), 2e10), LAW_MAX.format(lam="20000000000")),
+    (lambda: combine_cells_poisson(100.5, 1.0), "n must be an integer >= 1, got 100.5"),
+    (lambda: choose_r_normal(100.7), "n must be an integer >= 1, got 100.7"),
+    (lambda: lambda0_uniform(True, 6, 0.5), "n must be an integer >= 1, got True"),
 ]
 
 

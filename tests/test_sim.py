@@ -109,6 +109,19 @@ class TestVstBlocks:
             assert normals == [2**16, 2**16, 5]
             assert remainders == ([(nu - 1.0, 0.0, size) for size in normals] if nu > 1.0 else [])
 
+    def test_bounded_temporaries(self):
+        # one grid point of a full block holds Z, S, the transform's output and
+        # the squared deviations: four arrays of one block (512 KB each), and a
+        # further temporary would take the peak past 4.5
+        run_vst_lof(1.0, [25.0], reps=1000, seed=1)
+        tracemalloc.start()
+        try:
+            run_vst_lof(1.0, [25.0], reps=sim.VST_BLOCK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * sim.VST_BLOCK) <= 4.5
+
     def test_workers_equivalent(self):
         a = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=1)
         b = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=2)
