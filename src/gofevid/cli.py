@@ -159,6 +159,20 @@ def _evidence_line(kind: str, t: float) -> str:
     return f"{kind}: T = {t:.3f} ± 1  [{evidence_label(t)}]"
 
 
+def _equivalence_lines(kind: str, report: dict) -> list[str]:
+    """The text lines an equivalence report ends with, from its s_stat, nu,
+    k, lambda0, m0, bias_adjust and t."""
+    return [
+        f"  S:                 {report['s_stat']:.4f}",
+        f"  df (nu):           {report['nu']:g}",
+        f"  k:                 {report['k']:g}",
+        f"  lambda0:           {report['lambda0']:.4f}",
+        f"  max expected (m0): {report['m0']:.4f}",
+        f"  bias adjust:       {'on' if report['bias_adjust'] else 'off'}",
+        "  " + _evidence_line(kind, report["t"]),
+    ]
+
+
 def cmd_evidence_lof(args) -> int:
     cells, s = _observed_cells(args)
     r = len(cells.counts)
@@ -215,13 +229,7 @@ def cmd_evidence_equiv(args) -> int:
         "Evidence for equivalence to the hypothesized cell probabilities",
         f"  cells (r):         {r}",
         f"  n:                 {cells.n}",
-        f"  S:                 {s:.4f}",
-        f"  df (nu):           {nu:g}",
-        f"  k:                 {args.k:g}",
-        f"  lambda0:           {lambda0:.4f}",
-        f"  max expected (m0): {m0:.4f}",
-        f"  bias adjust:       {'on' if adjust else 'off'}",
-        "  " + _evidence_line("evidence for equivalence", ev.t),
+        *_equivalence_lines("evidence for equivalence", report),
     ])
     return 0
 
@@ -258,13 +266,7 @@ def cmd_fit_normal(args) -> int:
         "Evidence for normality",
         f"  n:                 {report.n}",
         f"  r (cells):         {report.r}",
-        f"  S:                 {report.s_stat:.4f}",
-        f"  df (nu):           {report.nu:g}",
-        f"  k:                 {report.k:g}",
-        f"  lambda0:           {report.lambda0:.4f}",
-        f"  max expected (m0): {report.m0:.4f}",
-        f"  bias adjust:       {'on' if report.bias_adjust else 'off'}",
-        "  " + _evidence_line("evidence for normality", report.evidence.t),
+        *_equivalence_lines("evidence for normality", d),
     ])
     return 0
 
@@ -286,13 +288,7 @@ def cmd_fit_poisson(args) -> int:
         f"  mu_hat:            {report.mu_hat:.4f}",
         f"  combined cells:    r = {report.r} (first = values <= {report.r0 + 1}, "
         f"last = values >= {report.r0 + report.r})",
-        f"  S:                 {report.s_stat:.4f}",
-        f"  df (nu):           {report.nu:g}",
-        f"  k:                 {report.k:g}",
-        f"  lambda0:           {report.lambda0:.4f}",
-        f"  max expected (m0): {report.m0:.4f}",
-        f"  bias adjust:       {'on' if report.bias_adjust else 'off'}",
-        "  " + _evidence_line("evidence for Poisson", report.evidence.t),
+        *_equivalence_lines("evidence for Poisson", d),
     ])
     return 0
 

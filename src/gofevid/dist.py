@@ -10,15 +10,19 @@ which skip the dispatch.  The law is supported for noncentralities up to
 LAM_MAX = 1e10, where every one of these kernels is still finite (SciPy's CDF
 is NaN in the bulk from about lam = 4.2e10); ``ChiSqParams``, the critical
 values and the powers reject a larger lam before any kernel runs.
+The density is evaluated on blocks of at most 2^16 (mixture terms x points)
+values, one point a block once the mixture is wider, so its temporaries do
+not grow with the number of points.
 A random stream is an SFC64 generator seeded by ``SeedSequence`` hashing of
 the fixed-width key (seed, stream_id) (stream layout 5), so distinct ids give
 independent streams whatever the order in which they are drawn.  A fit-table
 cell draws all its replications from its own stream, row after row (stream
 layout 4).  ``sample_chisq`` draws a central chi-squared as 2 Gamma(nu/2), a
 noncentral one with nu >= 1 as a shifted normal squared plus that central
-remainder, and one with nu < 1 as a Poisson mixture; a calibration shares one
-block of normals and remainders across its noncentralities (stream layout 6,
-in ``sim``).
+remainder, and one with nu < 1 as a Poisson mixture.  The shifted-normal
+draw is two steps, ``_shift_parts`` (Z, then R) and ``_shifted_square``
+((Z + sqrt(lam))^2 + R), so that a calibration can draw one block of parts and
+form every noncentrality of its grid from it (stream layout 6, in ``sim``).
 """
 
 from __future__ import annotations
@@ -232,21 +236,23 @@ def _poisson_weights(lam: float) -> tuple[np.ndarray, np.ndarray]:
     return k, np.exp(logw)
 
 
+_CHUNK = 1 << 16  # (mixture terms x points) values per block of the log-density, about 0.5 MB
+
+
 def _chisq_logpdf(x: np.ndarray, params: ChiSqParams) -> np.ndarray:
-    """Log density of the Poisson-mixture representation, stable in the tails."""
+    """Log density of the Poisson-mixture representation, stable in the tails,
+    on blocks of at most _CHUNK (mixture terms x points) values."""
     k, w = _poisson_weights(params.lam)
-    logw = np.log(w)
     shapes = 0.5 * params.nu + k
-    lx = np.log(x)
-    # terms[i, j] = logw[i] + log gamma-density(shape_i, x_j / 2) - log 2
-    terms = (
-        logw[:, None]
-        + (shapes[:, None] - 1.0) * (lx[None, :] - math.log(2.0))
-        - 0.5 * x[None, :]
-        - special.gammaln(shapes)[:, None]
-        - math.log(2.0)
-    )
-    return special.logsumexp(terms, axis=0)
+    logw, slope, lgam = np.log(w)[:, None], (shapes - 1.0)[:, None], special.gammaln(shapes)[:, None]
+    step = max(1, _CHUNK // len(k))
+    out = np.empty(len(x))
+    for lo in range(0, len(x), step):
+        xi = x[lo : lo + step]
+        # terms[i, j] = logw[i] + log gamma-density(shape_i, x_j / 2) - log 2
+        terms = logw + slope * (np.log(xi) - math.log(2.0)) - 0.5 * xi - lgam - math.log(2.0)
+        out[lo : lo + step] = special.logsumexp(terms, axis=0)
+    return out
 
 
 def chisq_density(x, params: ChiSqParams):
@@ -325,10 +331,24 @@ def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):
     if nu < 1.0:
         k = g.poisson(0.5 * lam, size=size)
         return 2.0 * g.standard_gamma(0.5 * nu + k, size=size)
-    x = np.square(g.standard_normal(size) + math.sqrt(lam))
-    if nu > 1.0:
-        x += 2.0 * g.standard_gamma(0.5 * (nu - 1.0), size=size)
-    return x
+    return _shifted_square(*_shift_parts(g, nu, size), lam)
+
+
+def _shift_parts(g: np.random.Generator, nu: float, size):
+    """The parts of a chi2(nu, .) draw for nu >= 1: Z ~ N(0, 1), then R ~
+    chi2(nu - 1) as 2 Gamma((nu - 1)/2), or None at nu = 1."""
+    z = g.standard_normal(size)
+    return z, (2.0 * g.standard_gamma(0.5 * (nu - 1.0), size=size) if nu > 1.0 else None)
+
+
+def _shifted_square(z, rest, lam: float):
+    """(z + sqrt(lam))^2 + rest, a chi2(nu, lam) draw from ``_shift_parts``,
+    in one new buffer (an np.float64 for a scalar z); z and rest stay as they are."""
+    s = np.add(z, math.sqrt(lam))
+    s *= s
+    if rest is not None:
+        s += rest
+    return s
 
 
 def _sample_normal(g, size, mu=0.0, sigma=1.0):

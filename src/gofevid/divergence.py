@@ -8,8 +8,7 @@ import math
 
 import numpy as np
 
-from .dist import (ChiSqParams, _chisq_logpdf, _poisson_weights, check_lam, check_positive,
-                   check_probs)
+from .dist import ChiSqParams, _chisq_logpdf, check_lam, check_positive, check_probs
 from .dist import chisq_density  # re-exported: the benchmark's spans and tests name it here
 from .evidence import EquivalenceParams
 
@@ -35,7 +34,6 @@ def J_uniform(p, n: int = 1) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL = 0.25  # widest panel in u = sqrt(x), and in t for nu >= 0.05
-_CHUNK = 1 << 16  # (mixture terms x nodes) values per log-density call, about 0.5 MB
 _TINY = np.finfo(float).tiny
 
 
@@ -68,12 +66,6 @@ def _rule(nu: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([x, u * u]), np.concatenate([w, wu * 2.0 * u])
 
 
-def _logpdf(x: np.ndarray, params: ChiSqParams) -> np.ndarray:
-    """_chisq_logpdf on chunks of at most _CHUNK (mixture terms x nodes) values."""
-    step = max(1, _CHUNK // len(_poisson_weights(params.lam)[0]))
-    return np.concatenate([_chisq_logpdf(x[i : i + step], params) for i in range(0, len(x), step)])
-
-
 def J_noncentral(nu: float, lambdaA: float, lambdaB: float) -> float:
     """Symmetrized divergence between chi2(nu, lambdaA) and chi2(nu, lambdaB).
 
@@ -93,7 +85,7 @@ def J_noncentral(nu: float, lambdaA: float, lambdaB: float) -> float:
              for lam in (lambdaA, lambdaB)]
     lo = max(0.0, min(mean - half for mean, half in spans))
     x, w = _rule(nu, lo, max(mean + half for mean, half in spans))
-    la, lb = _logpdf(x, pa), _logpdf(x, pb)
+    la, lb = _chisq_logpdf(x, pa), _chisq_logpdf(x, pb)
     ok = (la >= _LOG_FLOOR) | (lb >= _LOG_FLOOR)
     val = float(w[ok] @ ((np.exp(la[ok]) - np.exp(lb[ok])) * (la[ok] - lb[ok])))
     if lo == 0.0 and nu < 2.0:

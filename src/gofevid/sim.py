@@ -13,14 +13,15 @@ byte-identical for any worker count.
 A calibration draws its replications in blocks of VST_BLOCK; each grid point
 transforms each block and merges the blocks' moments, so memory is bounded
 for any reps.  For nu >= 1 the grid shares its draws (common random numbers,
-stream layout 6): block b is drawn once from stream 0, its standard normals Z
-and then, for nu > 1, its central remainders R ~ chi2(nu - 1)
-(``dist.sample_chisq``), and grid point i transforms (Z + sqrt(lambda_i))^2 + R,
-a chi2(nu, lambda_i) draw.  Each row's mean, sd and mc_se hold on their own;
-the rows' errors are correlated.  For nu < 1 grid point i draws its blocks
-from stream i by the Poisson mixture.  Up to layout 5 every grid point drew
-from its own stream (layout 3: as a shifted normal squared plus a remainder;
-layout 2: all reps at once from the Poisson mixture).
+stream layout 6): block b's parts are drawn once from stream 0, its standard
+normals Z and then, for nu > 1, its central remainders R ~ chi2(nu - 1), and
+grid point i transforms (Z + sqrt(lambda_i))^2 + R, a chi2(nu, lambda_i) draw.
+``dist`` owns both steps, which ``dist.sample_chisq`` takes too.  Each row's
+mean, sd and mc_se hold on their own; the rows' errors are correlated.  For
+nu < 1 grid point i draws its blocks from stream i by the Poisson mixture.  Up
+to layout 5 every grid point drew from its own stream (layout 3: as a shifted
+normal squared plus a remainder; layout 2: all reps at once from the Poisson
+mixture).
 
 The fit tables stack their replications into rows and fit a block of rows at
 once.  Replication i of a cell is row i of the cell's stream, and each block
@@ -52,8 +53,9 @@ import scipy
 
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
-from .dist import _MASK64, FAMILIES, ChiSqParams, RandomStream, check_int, check_law, check_level, \
-    check_positive, clip_repr, count_pmf, count_support, sample_chisq
+from .dist import _MASK64, FAMILIES, ChiSqParams, RandomStream, _shift_parts, _shifted_square, \
+    check_int, check_law, check_level, check_positive, clip_repr, count_pmf, count_support, \
+    sample_chisq
 from .divergence import J_uniform
 from .evidence import EquivalenceParams, equiv_transform, lof_transform
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
@@ -285,35 +287,24 @@ def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, see
 
     Replications come in blocks of VST_BLOCK and each grid point merges the
     blocks' moments, so memory stays bounded for any reps.  For nu >= 1 each
-    block is drawn once, Z ~ N(0, 1) then R ~ chi2(nu - 1) from stream 0, and
-    every grid point transforms its own S = (Z + sqrt(lambda))^2 + R from the
-    shared arrays.  For nu < 1 grid point i draws S from stream i.
+    block's parts, Z ~ N(0, 1) then R ~ chi2(nu - 1), are drawn once from
+    stream 0, and every grid point transforms its own S = (Z + sqrt(lambda))^2
+    + R from them.  For nu < 1 grid point i draws S from stream i.
     """
     grid = [float(l) for l in lambda_grid]
     params = [ChiSqParams(nu, lam) for lam in grid]  # every lambda checked before any draw
-    blocks = [min(VST_BLOCK, reps - lo) for lo in range(0, reps, VST_BLOCK)]
-    if nu < 1.0:
-        def point(idx):
-            stream, acc = RandomStream(seed, idx), (0, 0.0, 0.0)
-            for size in blocks:
-                acc = _merge_moments(acc, _moments(transform(sample_chisq(stream, params[idx], size))))
-            return acc
-
-        accs = _map_units(point, list(range(len(grid))), workers)
-    else:
-        stream, accs = RandomStream(seed, 0), [(0, 0.0, 0.0)] * len(grid)
-        for size in blocks:
-            z = stream.gen.standard_normal(size)
-            rest = sample_chisq(stream, ChiSqParams(nu - 1.0), size) if nu > 1.0 else None
-
-            def point(lam):
-                s = z + math.sqrt(lam)
-                np.square(s, out=s)
-                if rest is not None:
-                    s += rest
-                return _moments(transform(s))
-
-            accs = list(map(_merge_moments, accs, _map_units(point, grid, workers)))
+    units = list(range(len(grid)))
+    streams = [RandomStream(seed, i) for i in (units if nu < 1.0 else [0])]
+    accs = [(0, 0.0, 0.0)] * len(grid)
+    for lo in range(0, reps, VST_BLOCK):
+        size = min(VST_BLOCK, reps - lo)
+        if nu < 1.0:
+            draw = lambda i: sample_chisq(streams[i], params[i], size)
+        else:
+            parts = _shift_parts(streams[0].gen, nu, size)
+            draw = lambda i: _shifted_square(*parts, grid[i])
+        blocks = _map_units(lambda i: _moments(transform(draw(i))), units, workers)
+        accs = list(map(_merge_moments, accs, blocks))
     return [_summary((*grid_head, lam), *acc) for lam, acc in zip(grid, accs)]
 
 

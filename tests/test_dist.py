@@ -270,6 +270,17 @@ class TestSampleChiSqLayout3:
         draws = sample_chisq(RandomStream(3, 7), ChiSqParams(nu, lam), size=1000)
         assert draws.tobytes() == manual.tobytes()
 
+    # size=None draws one value, of the type each branch has always returned
+    @pytest.mark.parametrize("nu,lam,kind,value", [
+        (5, 0, float, 8.510340681118414),
+        (0.5, 2, float, 4.32536922787946),
+        (5, 2, np.float64, 15.259437264092547),
+        (1, 2, np.float64, 6.3924978463221835),
+    ])
+    def test_scalar_draws_pinned(self, nu, lam, kind, value):
+        x = sample_chisq(RandomStream(1, 0), ChiSqParams(nu, lam))
+        assert type(x) is kind and x == value
+
 
 class TestSampleFamily:
     def test_normal_and_logistic_and_t(self):

@@ -135,14 +135,20 @@ class TestJNoncentral:
     def test_mpmath_grid(self, args):
         assert J_noncentral(*args) == pytest.approx(self.MPMATH_J[args], rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("args", [(1, 12, 200), (5, 1e4, 1.1e4)])
+    @pytest.mark.parametrize("args", [
+        (J_noncentral, 1, 12, 200),
+        (J_noncentral, 5, 1e4, 1.1e4),
+        (chisq_density, np.linspace(1e6 - 1e4, 1e6 + 1e4, 200), ChiSqParams(5, 1e6)),
+    ])
     def test_bounded_memory(self, args):
-        # the log-density runs on chunks of 2^16 (mixture terms x nodes)
-        # values; one unchunked (257 x 2940) mixture array alone is 6 MB
+        # the log-density runs on chunks of 2^16 (mixture terms x points)
+        # values; one unchunked (257 x 2940) mixture array of J alone is 6 MB,
+        # and the density's (17011 x 200) one 26 MB
+        fn, *arguments = args
         J_noncentral(5, 12, 6)
         tracemalloc.start()
         try:
-            J_noncentral(*args)
+            fn(*arguments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

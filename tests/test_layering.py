@@ -2,13 +2,15 @@
 the noncentral chi-squared law from it, so the law has one definition.  No
 module uses SciPy's adaptive quadrature or root finders, which cost about
 0.3 s and 25 MB to import.  Only ``dist`` tests whether a value is an
-integer: every other module calls ``dist.check_int``, so the rule has one copy."""
+integer: every other module calls ``dist.check_int``, so the rule has one copy.
+The law's own parts, the Poisson mixture's ``_poisson_weights`` and the
+gamma draws, are named in ``dist`` alone too."""
 
 import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gofevid"
-KERNELS = re.compile(r"cython_special|chndtr|chndtrix|chdtri|chdtrc|_ncx2")
+KERNELS = re.compile(r"cython_special|chndtr|chndtrix|chdtri|chdtrc|_ncx2|_poisson_weights|standard_gamma")
 HEAVY = re.compile(r"scipy\.(integrate|optimize)|\b(integrate|optimize)\.|import .*\b(integrate|optimize)\b")
 
 
