@@ -412,12 +412,16 @@ def count_support(kind: str, mu: float, alpha: float = 0.0) -> int:
     return hi
 
 
+@functools.lru_cache(maxsize=16)
 def count_pmf(kind: str, mu: float, alpha: float = 0.0) -> np.ndarray:
     """P(X = k) for k < K and P(X >= K) in cell K, K = count_support(...).
 
     ``kind`` is "poisson" or "neg_binomial" (mean mu, variance mu + alpha mu^2).
     The frequency table of n iid draws is then exactly
-    Multinomial(n, count_pmf(...)).
+    Multinomial(n, count_pmf(...)).  Results are cached by argument list, as
+    count_support's are, and the array is read-only.  The cache keeps 16
+    tables, twice the paper's eight laws, so it holds at most 16 * 8 MB at
+    MAX_COUNT_CELLS.
     """
     K = count_support(kind, mu, alpha)
     cdf, _ = _count_law(kind, mu, alpha)
@@ -426,6 +430,7 @@ def count_pmf(kind: str, mu: float, alpha: float = 0.0) -> np.ndarray:
     pmf[0] = c[0]
     pmf[1:K] = np.diff(c)
     pmf[K] = 1.0 - c[-1]
+    pmf.flags.writeable = False
     return pmf
 
 

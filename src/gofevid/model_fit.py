@@ -11,6 +11,14 @@ replications at once.  The report functions run the same fit (``_normal_fit``,
 ``_poisson_groups``) on a one-row array and read row 0: the cells, mu_hat and
 S come from the arrays and the statistic call the rows path uses, so the
 values are bit-identical and no count array is checked twice.
+
+A Poisson batch evaluates the CDF of every row only on two narrow windows,
+which the rows with the smallest and largest mu_hat bound: one holds every
+row's first combined cell and the value after it, the other every row's
+last cell boundary (``_tail_cells``).  The combined-cell probabilities and
+folded counts of all rows, whatever their layouts, are then built in one
+pass into arrays as wide as the largest cell count; only the Pearson sums
+and the transform loop, once per distinct cell count.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .boundary import lambda0_uniform
 from .dist import check_int, check_positive, normal_quantile
 from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
     evidence_for_equivalence, max_expected_evidence
-from .pearson import _pearson, check_counts, pearson_stats
+from .pearson import _pearson_terms, check_counts, pearson_stats
 
 __all__ = [
     "NormalFitReport",
@@ -204,87 +212,115 @@ def _tail_cells(n: int, mu: np.ndarray):
     """Tail-cell combining for each mu at sample size n.
 
     Returns (r0, r, lo, cdf): per row the combined-cell layout described in
-    ``combine_cells_poisson``, and the Poisson CDF at that mu on the columns
-    the layouts use, ``cdf[:, j] = P(X <= lo + j)``.
+    ``combine_cells_poisson``, and the Poisson CDF at that mu on a window of
+    columns that holds every row's r0 + 1 and r0 + 2, the two values its
+    cell probabilities need: ``cdf[:, j] = P(X <= lo + j)``.
 
     P(X <= k) falls as mu rises, so the first and last combined cells move
-    right as mu rises: the rows with the smallest and largest mu bracket every
-    row's cells.  With more than two rows, those two rows are evaluated on
-    every column and all rows on the window from the column before the lowest
-    first cell to the column after the highest last cell.  The window is kept
-    only if every row expects fewer than 5 at or below its left edge column
-    and above its right one, which is what makes the window's boundaries
-    those of the full range; otherwise (rounding can break the monotonicity)
-    the window widens to the full range.  A one-row call evaluates the full
-    range once.
+    right as mu rises: the rows with the smallest and largest mu, evaluated
+    on every column 0..top, bound every row's cells.  With more than two
+    rows, every row is then evaluated on two narrow windows only: the first
+    cells' window, from the lowest r0 to the highest plus 2, and the last
+    cells' window, from the lowest last column to the highest plus 1.  Each
+    window's edge columns must show that it holds the boundaries the full
+    range would give: every row expects fewer than 5 at or below the first
+    window's left column and at least 5 at or below its last column but
+    one, and at least 5 above the second window's left column and fewer
+    than 5 above its right one.  If either test fails (rounding can break
+    the monotonicity), every row is evaluated on the full range instead,
+    as a one-row call is at once.
     """
     if n < 10:
         raise ValueError(f"n = {n} is too small to form cells with expected count >= 5")
     # kmax = mu + 12 sqrt(mu) + 30 leaves P(X >= kmax) below 5 / 2**53 for every
     # mu from 1e-3 to 1e6 (a test guards this), so no count total that float64
     # holds exactly expects 5 at or beyond the largest row's kmax
-    top = int(mu.max() + 12.0 * math.sqrt(mu.max()) + 30.0)
-    windows = [(0, top)]  # cdf columns lo..hi; the full range passes the edge test
-    if len(mu) > 2:  # the bracket rows' window goes first
+    mu_max = float(mu.max())
+    top = int(mu_max + 12.0 * math.sqrt(mu_max) + 30.0)
+    if len(mu) > 2:
         ends = special.pdtr(np.arange(top + 1), mu[[mu.argmin(), mu.argmax()], None])
-        first, last = _cell_bounds(n, ends, 0, top)
+        first, last = _first_cells(n, ends, 0), _last_cells(n, ends, 0, top)
         lo = max(int(first[0]), 0)
-        windows.insert(0, (lo, max(min(int(last[1]) + 1, top), lo)))
-    for lo, hi in windows:
-        cdf = special.pdtr(np.arange(lo, hi + 1), mu[:, None])
-        # at an edge column every row must have P(X <= lo) < 5/n and P(X > hi) < 5/n
-        if ((lo == 0 or np.all(n * cdf[:, 0] < _MIN_EXPECTED))
-                and (hi == top or np.all(n * (1.0 - cdf[:, -1]) < _MIN_EXPECTED))):
-            break
-    r0, last = _cell_bounds(n, cdf, lo, top)
-    return r0, last + 1 - r0, lo, cdf
+        cdf = special.pdtr(np.arange(lo, max(int(first[1]) + 2, lo + 1) + 1), mu[:, None])
+        if ((lo == 0 or (n * cdf[:, 0] < _MIN_EXPECTED).all())
+                and (n * cdf[:, -2] >= _MIN_EXPECTED).all()):
+            tail_lo = max(int(last[0]), 0)
+            tail_hi = max(min(int(last[1]) + 1, top), tail_lo)
+            tail = special.pdtr(np.arange(tail_lo, tail_hi + 1), mu[:, None])
+            if ((tail_lo == 0 or (n * (1.0 - tail[:, 0]) >= _MIN_EXPECTED).all())
+                    and (tail_hi == top or (n * (1.0 - tail[:, -1]) < _MIN_EXPECTED).all())):
+                r0 = _first_cells(n, cdf, lo)
+                return r0, _last_cells(n, tail, tail_lo, top) + 1 - r0, lo, cdf
+    cdf = special.pdtr(np.arange(top + 1), mu[:, None])
+    r0 = _first_cells(n, cdf, 0)
+    return r0, _last_cells(n, cdf, 0, top) + 1 - r0, 0, cdf
 
 
-def _cell_bounds(n: int, cdf: np.ndarray, lo: int, top: int):
-    """(r0, last) per row of a CDF on columns lo, lo + 1, ... of 0..top.
+def _first_cells(n: int, cdf: np.ndarray, lo: int) -> np.ndarray:
+    """r0 per row of a CDF on columns lo, lo + 1, ...: the first combined cell
+    is {X <= r0 + 1}, the first column with expected count >= 5."""
+    # on the full range 0..top, n >= 10 and n P(X > top - 1) < 5 give
+    # n P(X <= top - 1) > 5: every row has a first cell
+    return lo + (n * cdf >= _MIN_EXPECTED).argmax(axis=1) - 1
 
-    The first combined cell is {X <= r0 + 1}, the first column with expected
-    count >= 5; the last is {X >= last + 1}, last the final column below top
-    with P(X > last) expecting >= 5, or -1 when there is none.
-    """
-    # n >= 10 and n (1 - cdf[top - 1]) < 5 give n cdf[top - 1] > 5: every row has a left cell
-    r0 = lo + (n * cdf >= _MIN_EXPECTED).argmax(axis=1) - 1
+
+def _last_cells(n: int, cdf: np.ndarray, lo: int, top: int) -> np.ndarray:
+    """Per row of a CDF on columns lo, lo + 1, ... of 0..top, the final column
+    below top with P(X > last) expecting >= 5, or -1 when there is none: the
+    last combined cell is {X >= last + 1}."""
     sf = 1.0 - cdf[:, : top - lo]  # sf[:, j] = P(X > lo + j) for lo + j < top
     hi_ok = n * sf >= _MIN_EXPECTED
-    last = np.where(hi_ok.any(axis=1), lo + sf.shape[1] - 1 - hi_ok[:, ::-1].argmax(axis=1), -1)
-    return r0, last
+    return np.where(hi_ok.any(axis=1), lo + sf.shape[1] - 1 - hi_ok[:, ::-1].argmax(axis=1), -1)
 
 
-def _cell_probs(cdf: np.ndarray, lo: int, r0: int, r: int, mu: np.ndarray) -> np.ndarray:
-    """Combined-cell probabilities of the layout (r0, r), one row per mu.
+def _cell_probs(cdf: np.ndarray, lo: int, r0: np.ndarray, r: np.ndarray,
+                mu: np.ndarray) -> np.ndarray:
+    """Combined-cell probabilities of each row's layout (r0, r), in the first
+    r columns of a (rows, max r) array whose other cells hold 1.
 
     cdf[:, j] = P(X <= lo + j) at the row's mu.  The last cell P(X >= r0 + r)
     is the upper tail ``pdtrc`` itself, and the interior cells run up from the
     first one, a CDF difference below the upper tail, by the recurrence
     P(X = v) = P(X = v - 1) mu / v: differences of a CDF near 1 would lose the
     relative precision of a tiny cell, and the recurrence loses about one
-    rounding per step.
+    rounding per step.  One ``cumprod`` along the rows runs every row's
+    recurrence, each from its own r0; a product is sequential, so a row's
+    cells do not depend on how wide the array is.
     """
+    rows = np.arange(len(cdf))
     j = r0 - lo
-    probs = np.empty((len(cdf), r))
-    probs[:, 0] = cdf[:, j + 1]
-    if r > 2:
-        steps = mu[:, None] / np.arange(r0 + 2, r0 + r)
-        steps[:, 0] = cdf[:, j + 2] - cdf[:, j + 1]  # P(X = r0 + 2)
-        probs[:, 1 : r - 1] = np.cumprod(steps, axis=1)
-    probs[:, r - 1] = special.pdtrc(r0 + r - 1, mu)
+    width = int(r.max())
+    probs = np.ones((len(cdf), width))
+    probs[:, 0] = cdf[rows, j + 1]
+    if width > 2:
+        steps = mu[:, None] / (r0[:, None] + np.arange(2, width))
+        steps[:, 0] = cdf[rows, j + 2] - probs[:, 0]  # P(X = r0 + 2)
+        probs[:, 1 : width - 1] = np.cumprod(steps, axis=1)
+        probs[np.arange(width) >= r[:, None]] = 1.0
+    probs[rows, r - 1] = special.pdtrc(r0 + r - 1, mu)
     return probs
 
 
-def _fold_counts(tables: np.ndarray, r0: int, r: int) -> np.ndarray:
-    """Fold frequency tables (one per row) into the r combined cells."""
-    padded = np.zeros((len(tables), max(tables.shape[1], r0 + r + 1)), dtype=np.int64)
-    padded[:, : tables.shape[1]] = tables
-    out = np.empty((len(tables), r), dtype=np.int64)
-    out[:, 0] = padded[:, : r0 + 2].sum(axis=1)
-    out[:, 1 : r - 1] = padded[:, r0 + 2 : r0 + r]
-    out[:, r - 1] = padded[:, r0 + r :].sum(axis=1)
-    return out
+def _fold_counts(tables: np.ndarray, totals: np.ndarray, r0: np.ndarray,
+                 r: np.ndarray) -> np.ndarray:
+    """Fold frequency tables (one per row, totals their sums) into each row's
+    r combined cells, in the first r columns of a (rows, max r) array whose
+    other cells hold 0."""
+    # below[:, v] counts the values < v up to the widest row's last cell, and
+    # the final column holds the total
+    width = min(int((r0 + r).max()), tables.shape[1])
+    below = np.zeros((len(tables), width + 2), dtype=np.int64)
+    np.cumsum(tables[:, :width], axis=1, dtype=np.int64, out=below[:, 1:-1])
+    below[:, -1] = totals
+    # cell j holds the values below column ends[:, j + 1] and at or above
+    # column ends[:, j]; the last cell and the padding reach the total
+    bounds = np.arange(int(r.max()) + 1)
+    ends = np.minimum(r0[:, None] + 1 + bounds, width)
+    ends[:, 0] = 0
+    ends[bounds >= r[:, None]] = width + 1
+    ends += np.arange(0, below.size, width + 2)[:, None]  # row offsets into below.ravel()
+    at = below.ravel()[ends]
+    return at[:, 1:] - at[:, :-1]
 
 
 def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
@@ -298,25 +334,30 @@ def combine_cells_poisson(n: int, mu: float) -> tuple[int, int, np.ndarray]:
     check_positive(mu, "mu")
     mus = np.array([float(mu)])
     r0, r, lo, cdf = _tail_cells(n, mus)
-    r0, r = int(r0[0]), int(r[0])
-    if r < 2:
+    if r[0] < 2:
         raise ValueError(f"n = {n} is too small for mu = {mu}: fewer than 2 cells remain")
-    return r0, r, _cell_probs(cdf, lo, r0, r, mus)[0]
+    return int(r0[0]), int(r[0]), _cell_probs(cdf, lo, r0, r, mus)[0]
 
 
 def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
     """Fit Poisson cells to each row of a checked (rows, K) frequency-table array.
 
     All rows must have the same total n; ``totals`` holds the row totals.
-    Returns (mu_hat, groups), where each group
-    (rows, r0, r, probs, counts, S, params) holds the rows sharing one
-    combined-cell layout.  Raises UndefinedFit for the first row whose fit is
-    undefined: mu_hat = 0, or fewer than 3 cells after combining.
+    Returns (mu_hat, r0, r, probs, counts, groups): per row mu_hat and the
+    combined-cell layout (r0, r); the combined-cell probabilities and folded
+    counts of every row, built in one pass over all layouts, in the first r
+    columns of (rows, max r) arrays; and one group (rows, S, params) for the
+    rows sharing each cell count r.  Raises UndefinedFit for the first row
+    whose fit is undefined: mu_hat = 0, or fewer than 3 cells after
+    combining.
 
-    S is computed without ``pearson_stats``' checks: the counts are checked
-    already, and the combined cells each expect at least 5, so the floor on
-    user-given cell probabilities does not apply (at n = 1e14 a cell of
-    probability 8e-13 is a valid cell).
+    Each row's S is one contiguous sum over its own r cells: numpy's pairwise
+    sum depends on the length, so summing the padded row would move the last
+    bits.  The padding (probability 1, count 0) keeps every cell's term
+    finite.  S is computed without ``pearson_stats``' checks: the counts are
+    checked already, and the combined cells each expect at least 5, so the
+    floor on user-given cell probabilities does not apply (at n = 1e14 a
+    cell of probability 8e-13 is a valid cell).
     """
     n = int(totals[0])
     if np.any(totals != n):
@@ -331,15 +372,15 @@ def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
                                   "fit is undefined")
         raise UndefinedFit(i, f"tail-cell combining left r = {r[i]} cells at mu_hat = {mu[i]:g}; "
                               "the Poisson fit needs at least 3 (nu = r - 2)")
+    probs = _cell_probs(cdf, lo, r0, r, mu)
+    counts = _fold_counts(tables, totals, r0, r)
+    terms = _pearson_terms(counts, probs, totals)
     groups = []
-    for g_r0, g_r in sorted(set(zip(r0.tolist(), r.tolist()))):
-        rows = np.flatnonzero((r0 == g_r0) & (r == g_r))
-        probs = _cell_probs(cdf[rows], lo, g_r0, g_r, mu[rows])
-        counts = _fold_counts(tables[rows], g_r0, g_r)
+    for g_r in sorted(set(r.tolist())):
+        rows = np.flatnonzero(r == g_r)
         params = EquivalenceParams(nu=float(g_r - 2), lambda0=lambda0_uniform(n, g_r, k))
-        s_stat = _pearson(counts, probs, totals[rows])
-        groups.append((rows, g_r0, g_r, probs, counts, s_stat, params))
-    return mu, groups
+        groups.append((rows, terms[rows, :g_r].sum(axis=1), params))
+    return mu, r0, r, probs, counts, groups
 
 
 def evidence_for_poisson(counts, k: float = DEFAULT_K, bias_adjust: bool = True) -> PoissonFitReport:
@@ -351,11 +392,11 @@ def evidence_for_poisson(counts, k: float = DEFAULT_K, bias_adjust: bool = True)
     nu = r - 2 and boundary lambda0 = n k^2 / (r - 1).
     """
     table, total = check_counts(counts, 1)
-    mu, [(_, r0, r, comb_probs, comb_counts, s_stat, params)] = _poisson_groups(
+    mu, r0, r, comb_probs, comb_counts, [(_, s_stat, params)] = _poisson_groups(
         table[None, :], total.reshape(1), k)
     s_stat = float(s_stat[0])
     return PoissonFitReport(
-        n=int(total), mu_hat=float(mu[0]), r0=r0, r=r, comb_probs=comb_probs[0],
+        n=int(total), mu_hat=float(mu[0]), r0=int(r0[0]), r=int(r[0]), comb_probs=comb_probs[0],
         comb_counts=comb_counts[0], s_stat=s_stat, nu=params.nu, lambda0=params.lambda0,
         m0=max_expected_evidence(params), k=k, bias_adjust=bias_adjust,
         evidence=evidence_for_equivalence(s_stat, params, bias_adjust),
@@ -371,12 +412,10 @@ def poisson_evidence_rows(tables, k: float = DEFAULT_K, bias_adjust: bool = True
     undefined raises UndefinedFit carrying its index.
     """
     tables, totals = check_counts(tables, 2)
-    mu, groups = _poisson_groups(tables, totals, k)
-    r_out = np.empty(len(tables))
+    mu, _, r, _, _, groups = _poisson_groups(tables, totals, k)
     m0 = np.empty(len(tables))
     t = np.empty(len(tables))
-    for rows, _, r, _, _, s_stat, params in groups:
-        r_out[rows] = r
+    for rows, s_stat, params in groups:
         m0[rows] = max_expected_evidence(params)
         t[rows] = equiv_transform(s_stat, params, bias_adjust)
-    return mu, r_out, m0, t
+    return mu, r.astype(float), m0, t

@@ -61,11 +61,16 @@ def check_counts(counts, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     return arr, n
 
 
-def _pearson(counts: np.ndarray, probs: np.ndarray, n) -> np.ndarray:
-    """Sum of (observed - expected)^2 / expected along the last axis; n holds
-    the totals of the counts."""
+def _pearson_terms(counts: np.ndarray, probs: np.ndarray, n) -> np.ndarray:
+    """(observed - expected)^2 / expected of each cell; n holds the totals of
+    the counts along the last axis."""
     expected = np.expand_dims(n, -1) * probs
-    return ((counts - expected) ** 2 / expected).sum(axis=-1)
+    return (counts - expected) ** 2 / expected
+
+
+def _pearson(counts: np.ndarray, probs: np.ndarray, n) -> np.ndarray:
+    """Sum of ``_pearson_terms`` along the last axis."""
+    return _pearson_terms(counts, probs, n).sum(axis=-1)
 
 
 @dataclass

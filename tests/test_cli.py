@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -416,6 +417,34 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error: ") and str(out / "table1_models") in err
         assert len(err.splitlines()) == 1
+
+    def test_unwritable_result_file_fails_with_a_message(self, capsys, tmp_path, monkeypatch):
+        real_open = os.open
+
+        def refuse(path, *args):
+            if str(path).startswith(str(tmp_path)):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return real_open(path, *args)
+
+        monkeypatch.setattr(os, "open", refuse)
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
+                               "--reps", "1000", "--out", str(tmp_path))
+        assert code == 1
+        path = tmp_path / "table1_models" / "table1_models.csv"
+        assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+
+    def test_result_files_replace_old_ones(self, capsys, tmp_path):
+        args = ("simulate", "--scenario", "table1_models", "--reps", "1000", "--out", str(tmp_path))
+        assert run_cli(capsys, *args)[0] == 0
+        first = {p.name: p.read_bytes() for p in (tmp_path / "table1_models").iterdir()}
+        for path in (tmp_path / "table1_models").iterdir():
+            path.write_text("stale " * 10_000)
+        assert run_cli(capsys, *args)[0] == 0
+        again = {p.name: p.read_bytes() for p in (tmp_path / "table1_models").iterdir()}
+        assert again.keys() == first.keys() == {"table1_models.csv", "table1_models.json",
+                                                "manifest.json"}
+        assert again["table1_models.csv"] == first["table1_models.csv"]
+        assert again["table1_models.json"] == first["table1_models.json"]
 
     def test_table1_n_capped(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("the run started"))

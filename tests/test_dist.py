@@ -339,6 +339,12 @@ class TestCountPmf:
     def test_alpha_zero_is_poisson(self):
         assert np.array_equal(count_pmf("neg_binomial", 7.0, 0.0), count_pmf("poisson", 7.0))
 
+    def test_cached_and_read_only(self):
+        pmf = count_pmf("neg_binomial", 20.0, 0.01)
+        assert count_pmf("neg_binomial", 20.0, 0.01) is pmf
+        with pytest.raises(ValueError, match="read-only"):
+            pmf[0] = 1.0
+
     @pytest.mark.parametrize("alpha", [1e-10, 1e-15, 1e-17])
     def test_tiny_alpha_zero_cell_matches_closed_form(self, alpha):
         # P(X = 0) = (1 + alpha mu)^(-1/alpha); p = 1/(1 + alpha mu) rounds to 1

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
 import oracles
@@ -162,42 +162,72 @@ class TestCombineCells:
             combine_cells_poisson(10, 1.0)  # only one cell can reach expectation 5
 
 
-def _tail_cells_traced(n: int, mu, swap_bracket: bool = False):
-    """model_fit._tail_cells plus the shape of every ``pdtr`` call it made.
+_BRACKETS = {  # how a stand-in pdtr misreads the two bracket rows' mu
+    "swap": lambda m: m[::-1],  # each at the other's mu
+    "low": lambda m: m[[0, 0]],  # both at the smallest mu
+    "high": lambda m: m[[1, 1]],  # both at the largest mu
+}
 
-    ``swap_bracket`` evaluates the two bracket rows at each other's mu, which
-    gives a window that is too narrow whenever their layouts differ.
+
+def _traced_pdtr(bracket, many_rows: bool):
+    """A stand-in for ``model_fit.special`` that records the shape of every
+    ``pdtr`` call.
+
+    ``bracket`` names a misreading of the two bracket rows' mu in
+    ``_BRACKETS``, which gives windows that are too narrow or misplaced
+    whenever the bracket rows' layouts differ; None reads them right.
     """
     shapes = []
-    swap = swap_bracket and len(mu) > 2  # the first call is then the bracket
+    misread = _BRACKETS[bracket] if bracket and many_rows else None  # the first call is the bracket
 
     def pdtr(k, m):
-        nonlocal swap
+        nonlocal misread
         shapes.append(np.broadcast(k, m).shape)
-        if swap:
-            m, swap = m[::-1], False
+        if misread:
+            m, misread = misread(m), None
         return special.pdtr(k, m)
 
-    with mock.patch.object(model_fit, "special", SimpleNamespace(pdtr=pdtr)):
+    return SimpleNamespace(pdtr=pdtr, pdtrc=special.pdtrc), shapes
+
+
+def _tail_cells_traced(n: int, mu, bracket=None):
+    """model_fit._tail_cells plus the shape of every ``pdtr`` call it made."""
+    stand_in, shapes = _traced_pdtr(bracket, len(mu) > 2)
+    with mock.patch.object(model_fit, "special", stand_in):
         return model_fit._tail_cells(n, np.asarray(mu, dtype=float)), shapes
 
 
-def _assert_tail_cells_match_full(n: int, mu, swap_bracket=False):
-    """The windowed layout against the full-width reference, byte for byte.
+def _cell_probs_from_full(cdf_row, r0: int, r: int, mu: float) -> list:
+    """One row's combined-cell probabilities from its full-width CDF, cell by
+    cell: the first cell, P(X = r0 + 2) as a CDF difference and then
+    P(X = v) = P(X = v - 1) (mu / v), and the upper tail."""
+    probs = [float(cdf_row[r0 + 1])]
+    p = float(cdf_row[r0 + 2] - cdf_row[r0 + 1])
+    for v in range(r0 + 2, r0 + r):
+        if v > r0 + 2:
+            p *= mu / v
+        probs.append(p)
+    return probs + [float(special.pdtrc(r0 + r - 1, mu))]
+
+
+def _assert_tail_cells_match_full(n: int, mu, bracket=None):
+    """The windowed layout and cell probabilities against the full-width
+    reference, byte for byte.
 
     Returns (reference, lo, cdf, shapes) for checks on the path taken.
     """
     mu = np.asarray(mu, dtype=float)
     want_r0, want_r, full = want = oracles.poisson_tail_cells(n, mu)
-    (r0, r, lo, cdf), shapes = _tail_cells_traced(n, mu, swap_bracket)
+    (r0, r, lo, cdf), shapes = _tail_cells_traced(n, mu, bracket)
     assert r0.tolist() == want_r0.tolist()
     assert r.tolist() == want_r.tolist()
     assert cdf.tobytes() == full[:, lo : lo + cdf.shape[1]].tobytes()
-    for i in np.flatnonzero(want_r >= 2):
-        got = model_fit._cell_probs(cdf[i : i + 1], lo, int(r0[i]), int(r[i]), mu[i : i + 1])
-        ref = model_fit._cell_probs(full[i : i + 1], 0, int(want_r0[i]), int(want_r[i]),
-                                    mu[i : i + 1])
-        assert got.tobytes() == ref.tobytes()
+    rows = np.flatnonzero(want_r >= 2)
+    if len(rows):
+        probs = model_fit._cell_probs(cdf[rows], lo, r0[rows], r[rows], mu[rows])
+        for got, i in zip(probs, rows):
+            ref = _cell_probs_from_full(full[i], int(want_r0[i]), int(want_r[i]), float(mu[i]))
+            assert got.tobytes() == np.array(ref + [1.0] * (len(got) - len(ref))).tobytes()
     return want, lo, cdf, shapes
 
 
@@ -206,15 +236,16 @@ _SPREAD_MUS = st.lists(st.floats(1e-3, 600.0), min_size=1, max_size=30)
 _CLUSTERED_MUS = st.builds(lambda c, jitter: [c * (1.0 + 0.05 * j) for j in jitter],
                            st.floats(1e-3, 600.0),
                            st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30))
+_BRACKET_READS = st.sampled_from([None, *_BRACKETS])
 
 
 class TestTailCellWindow:
-    """The bracketed CDF window gives the layout of the full-width CDF."""
+    """The two narrow CDF windows give the layout and cells of the full-width CDF."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(_TAIL_NS, st.one_of(_SPREAD_MUS, _CLUSTERED_MUS), st.booleans())
-    def test_matches_full_width(self, n, mu, swap_bracket):
-        _assert_tail_cells_match_full(n, mu, swap_bracket)
+    @given(_TAIL_NS, st.one_of(_SPREAD_MUS, _CLUSTERED_MUS), _BRACKET_READS)
+    def test_matches_full_width(self, n, mu, bracket):
+        _assert_tail_cells_match_full(n, mu, bracket)
 
     def test_single_row_evaluates_the_full_range_once(self):
         (_, _, full), lo, _, shapes = _assert_tail_cells_match_full(1207, [8.367])
@@ -238,15 +269,41 @@ class TestTailCellWindow:
 
     def test_window_is_narrower_than_the_full_range(self):
         mu = np.random.default_rng(3).poisson(20.0, size=(50, 400)).mean(axis=1)
-        (_, _, full), lo, cdf, shapes = _assert_tail_cells_match_full(400, mu)
-        assert lo > 0 and cdf.shape[1] < full.shape[1] / 2
-        assert shapes == [(2, full.shape[1]), cdf.shape]
+        (r0, r, full), lo, cdf, shapes = _assert_tail_cells_match_full(400, mu)
+        assert lo > 0 and shapes[0] == (2, full.shape[1]) and len(shapes) == 3
+        # a single window on every row, from the lowest first cell to the highest
+        # last cell, against every pdtr value the call takes, bracket rows included
+        single = len(mu) * (min(int((r0 + r).max()), full.shape[1] - 1) - max(int(r0.min()), 0) + 1)
+        assert sum(math.prod(shape) for shape in shapes) < single / 2
 
     def test_failed_bracket_widens_to_the_full_range(self):
         (_, _, full), lo, cdf, shapes = _assert_tail_cells_match_full(
-            400, [20.0, 25.0, 30.0, 40.0], swap_bracket=True)
+            400, [20.0, 25.0, 30.0, 40.0], bracket="swap")
         assert lo == 0 and cdf.shape == full.shape
         assert len(shapes) == 3 and shapes[1][1] < full.shape[1]
+
+    @pytest.mark.parametrize("n,mu,bracket", [
+        # each fails one edge test of the first cells' window: its left, its right
+        (11, [1.7, 1.68, 1.6, 1.93], "high"),
+        (20, [1.4, 1.4, 1.54, 1.13], "low"),
+    ])
+    def test_failed_first_cell_window_widens_to_the_full_range(self, n, mu, bracket):
+        (_, _, full), lo, cdf, shapes = _assert_tail_cells_match_full(n, mu, bracket)
+        assert lo == 0 and cdf.shape == full.shape
+        assert len(shapes) == 3 and shapes[1][1] < full.shape[1]
+
+    @pytest.mark.parametrize("n,mu,bracket", [
+        (400, [10.0, 10.2, 10.4, 10.6], "swap"),
+        # each fails one edge test of the last cells' window: its left, its right
+        (30, [0.3, 0.5, 0.7, 0.9, 1.1], "high"),
+        (30, [0.3, 0.5, 0.7, 0.9, 1.1], "low"),
+    ])
+    def test_failed_last_cell_window_widens_to_the_full_range(self, n, mu, bracket):
+        # the rows share their first cell, so only the second window fails
+        (r0, _, full), lo, cdf, shapes = _assert_tail_cells_match_full(n, mu, bracket)
+        assert len(set(r0.tolist())) == 1
+        assert lo == 0 and cdf.shape == full.shape
+        assert len(shapes) == 4 and shapes[1][1] + shapes[2][1] < full.shape[1]
 
 
 class TestEvidenceForPoisson:
@@ -299,6 +356,13 @@ class TestEvidenceForPoisson:
         assert np.allclose(rep.comb_probs, probs, rtol=0, atol=1e-15)
         assert np.allclose(rep.comb_probs, probs, rtol=1e-12, atol=0)
         assert rep.s_stat == pytest.approx(s, rel=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.uint64])
+    def test_any_integer_dtype_gives_the_same_report(self, dtype):
+        # repr tells 18 from 18.0: the counts stay integers whatever the input's dtype
+        table = np.minimum(ALPHA, 250)
+        want = repr(evidence_for_poisson(table).to_dict())
+        assert repr(evidence_for_poisson(table.astype(dtype)).to_dict()) == want
 
     def test_to_dict_keeps_field_order(self):
         # the CLI's csv columns follow this order
@@ -397,6 +461,40 @@ class TestNormalityEvidenceRows:
                 normality_evidence_rows(data)
 
 
+def _mixed_tables(n: int, mus, seed: int, cut: int) -> np.ndarray:
+    """One Poisson(mu) frequency table of n draws per mu, as a (rows, cut + 1)
+    array whose last column holds every value >= cut, keeping only the rows
+    whose single-row fit is defined."""
+    gen = np.random.default_rng(seed)
+    tables = np.zeros((len(mus), cut + 1), dtype=np.int64)
+    for row, mu in zip(tables, mus):
+        table = gen.multinomial(n, count_pmf("poisson", mu))
+        row[: min(len(table), cut)] = table[:cut]
+        row[cut] += table[cut:].sum()
+    defined = []
+    for table in tables:
+        try:
+            evidence_for_poisson(table)
+            defined.append(table)
+        except UndefinedFit:
+            pass
+    return np.array(defined).reshape(-1, cut + 1)
+
+
+def _assert_rows_match_reports(tables, bracket=None):
+    """poisson_evidence_rows against evidence_for_poisson row by row, bit for
+    bit.  Returns (reports, shapes of the batch's pdtr calls)."""
+    stand_in, shapes = _traced_pdtr(bracket, len(tables) > 2)
+    with mock.patch.object(model_fit, "special", stand_in):
+        rows = poisson_evidence_rows(tables)
+    reports = [evidence_for_poisson(table) for table in tables]
+    want = [[rep.mu_hat for rep in reports], [float(rep.r) for rep in reports],
+            [rep.m0 for rep in reports], [rep.evidence.t for rep in reports]]
+    for got, ref in zip(rows, want):
+        assert got.tobytes() == np.array(ref).tobytes()
+    return reports, shapes
+
+
 class TestPoissonEvidenceRows:
     @pytest.mark.parametrize("dist,n", [(("poisson", 5.0), 100), (("poisson", 20.0), 6400),
                                         (("neg_binomial", 10.0, 0.01), 1600)])
@@ -411,6 +509,37 @@ class TestPoissonEvidenceRows:
         assert m0.tolist() == [rep.m0 for rep in reports]
         assert t.tolist() == [rep.evidence.t for rep in reports]
         assert len(set(r.tolist())) > 1  # several combined-cell layouts in one batch
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([12, 30, 100, 400, 1600, 6400]),
+           st.lists(st.floats(0.05, 60.0), min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1), st.integers(2, 120), _BRACKET_READS)
+    def test_rows_equal_single_row_reports(self, n, mus, seed, cut, bracket):
+        tables = _mixed_tables(n, mus, seed, cut)
+        assume(len(tables) > 0)
+        _assert_rows_match_reports(tables, bracket)
+
+    def test_mixed_layouts_and_cell_counts(self):
+        tables = _mixed_tables(1600, [2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0] * 3, 1, 150)
+        reports, shapes = _assert_rows_match_reports(tables)
+        assert len({(rep.r0, rep.r) for rep in reports}) > 5 and len({rep.r for rep in reports}) > 5
+        assert len(shapes) == 3 and shapes[1][0] == len(tables)  # the two windows held
+
+    def test_first_cell_at_zero(self):
+        tables = _mixed_tables(400, [0.5, 0.8, 1.0, 1.5, 2.0, 8.0, 30.0], 2, 100)
+        reports, shapes = _assert_rows_match_reports(tables)
+        assert len(tables) == 7 and len(shapes) == 3
+        r0 = {rep.r0 for rep in reports}
+        assert -1 in r0 and max(r0) > 0
+
+    @pytest.mark.parametrize("mus", [[20.0, 25.0, 30.0, 40.0], [10.0, 10.2, 10.4, 10.6]])
+    @pytest.mark.parametrize("bracket", list(_BRACKETS))
+    def test_failed_bracket_falls_back_to_the_full_range(self, mus, bracket):
+        tables = _mixed_tables(400, mus * 5, 3, 120)
+        reports, shapes = _assert_rows_match_reports(tables, bracket)
+        # the last call covers the bracket's full range for every row
+        assert len(shapes) in (3, 4) and shapes[-1] == (len(tables), shapes[0][1])
+        assert len({(rep.r0, rep.r) for rep in reports}) > 1
 
     def test_undefined_row_is_named(self):
         tables = np.array([[30, 40, 30], [100, 0, 0], [95, 5, 0]])

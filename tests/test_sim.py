@@ -287,6 +287,7 @@ class TestRunPoissonTable:
     def test_each_law_support_found_once(self):
         # SimConfig bounds each law's width; the run's count_pmf reuses that support
         count_support.cache_clear()
+        count_pmf.cache_clear()
         config = SimConfig(scenario="poisson_fit_table", reps=100, seed=57,
                            params={"dists": [["poisson", 5], ["neg_binomial", 20, 0.01]],
                                    "n_list": [100]})
