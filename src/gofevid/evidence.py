@@ -4,6 +4,13 @@ Both transforms map a statistic S ~ chi2(nu, lam) onto the unit-normal
 calibration scale: the result estimates its own mean with standard error 1
 and is reported as ``T +/- 1``.  Thresholds 1.645 / 3.3 / 5.0 on |T| read as
 weak / moderate / strong.
+
+Each transform's arithmetic is one private array core, ``_lof_values`` and
+``_equiv_values``, which takes a float64 array already known to hold no
+negative or NaN entry.  ``lof_transform`` and ``equiv_transform`` check their
+arguments, scalar or array, and then call the core; a caller that has checked
+its statistics itself, such as the calibration loop of ``sim``, which checks
+each shared block once for its whole grid, calls the core directly.
 """
 
 from __future__ import annotations
@@ -71,8 +78,7 @@ class EquivalenceParams:
 def _branch_root(s: np.ndarray, nu: float):
     """(the index of s < nu, a new array of the branch's root): sqrt(2 s) below
     s = nu, written in by index over s - nu/2, and sqrt(s - nu/2) above, with
-    no masked select.  Rejects a negative or NaN statistic."""
-    check_statistic(s)
+    no masked select."""
     lower = np.nonzero(s < nu)
     root = s - 0.5 * nu
     root[lower] = 2.0 * s[lower]
@@ -80,23 +86,47 @@ def _branch_root(s: np.ndarray, nu: float):
     return lower, root
 
 
-def lof_transform(s, nu: float, bias_adjust: bool = True):
-    """Evidence against the null model, vectorized over s.
-
-    Piecewise: sqrt(2 s) - sqrt(2 nu) below s = nu, sqrt(s - nu/2) -
-    sqrt(nu/2) above; continuous, strictly increasing, and 0 at s = nu
-    before the +0.2/sqrt(nu) bias adjustment.
-    """
-    check_positive(nu, "nu")
-    scalar = np.isscalar(s)
-    sa = np.atleast_1d(np.asarray(s, dtype=float))
-    lower, out = _branch_root(sa, nu)
+def _lof_values(s: np.ndarray, nu: float, bias_adjust: bool) -> np.ndarray:
+    """``lof_transform`` of a float64 array s known to hold no negative or NaN
+    entry, at a positive finite nu, without checks, as a new array; s stays
+    as it is."""
+    lower, out = _branch_root(s, nu)
     below = out[lower] - math.sqrt(2.0 * nu)
     out -= math.sqrt(0.5 * nu)
     out[lower] = below
     if bias_adjust:
         out += 0.2 / math.sqrt(nu)
-    return float(out[0]) if scalar else out
+    return out
+
+
+def _equiv_values(s: np.ndarray, params: EquivalenceParams, bias_adjust: bool) -> np.ndarray:
+    """``equiv_transform`` of a float64 array s known to hold no negative or
+    NaN entry, without checks, as a new array; s stays as it is."""
+    nu = params.nu
+    c1 = math.sqrt(params.lambda0 + 0.5 * nu)
+    c0 = c1 - math.sqrt(0.5 * nu) + math.sqrt(2.0 * nu)
+    lower, out = _branch_root(s, nu)
+    below = c0 - out[lower]
+    np.subtract(c1, out, out=out)
+    out[lower] = below
+    if bias_adjust:
+        out -= 0.5 / c1
+    return out
+
+
+def lof_transform(s, nu: float, bias_adjust: bool = True):
+    """Evidence against the null model, vectorized over s.
+
+    Piecewise: sqrt(2 s) - sqrt(2 nu) below s = nu, sqrt(s - nu/2) -
+    sqrt(nu/2) above; continuous, strictly increasing, and 0 at s = nu
+    before the +0.2/sqrt(nu) bias adjustment.  Rejects a negative or NaN
+    statistic; the arithmetic is ``_lof_values``.
+    """
+    check_positive(nu, "nu")
+    sa = np.atleast_1d(np.asarray(s, dtype=float))
+    check_statistic(sa)
+    out = _lof_values(sa, nu, bias_adjust)
+    return float(out[0]) if np.isscalar(s) else out
 
 
 def equiv_transform(s, params: EquivalenceParams, bias_adjust: bool = True):
@@ -105,20 +135,13 @@ def equiv_transform(s, params: EquivalenceParams, bias_adjust: bool = True):
     With c1 = sqrt(lambda0 + nu/2) and c0 = c1 - sqrt(nu/2) + sqrt(2 nu):
     c0 - sqrt(2 s) below s = nu, c1 - sqrt(s - nu/2) above; continuous and
     strictly decreasing.  The adjustment subtracts 1/(2 c1), which removes
-    the first-order bias at the boundary lam = lambda0.
+    the first-order bias at the boundary lam = lambda0.  Rejects a negative
+    or NaN statistic; the arithmetic is ``_equiv_values``.
     """
-    nu, lam0 = params.nu, params.lambda0
-    scalar = np.isscalar(s)
     sa = np.atleast_1d(np.asarray(s, dtype=float))
-    c1 = math.sqrt(lam0 + 0.5 * nu)
-    c0 = c1 - math.sqrt(0.5 * nu) + math.sqrt(2.0 * nu)
-    lower, out = _branch_root(sa, nu)
-    below = c0 - out[lower]
-    np.subtract(c1, out, out=out)
-    out[lower] = below
-    if bias_adjust:
-        out -= 0.5 / c1
-    return float(out[0]) if scalar else out
+    check_statistic(sa)
+    out = _equiv_values(sa, params, bias_adjust)
+    return float(out[0]) if np.isscalar(s) else out
 
 
 def evidence_against(s: float, nu: float, bias_adjust: bool = True) -> EvidenceValue:

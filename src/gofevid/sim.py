@@ -23,6 +23,12 @@ to layout 5 every grid point drew from its own stream (layout 3: as a shifted
 normal squared plus a remainder; layout 2: all reps at once from the Poisson
 mixture).
 
+A block is checked once, not per grid point: when Z has no NaN and R passes
+``dist.check_statistic``, every S formed from them is nonnegative and not
+NaN, so each grid point hands its S straight to the transform's unchecked
+array core in ``evidence``.  For nu < 1 each grid point checks its own draw.
+``_moments`` then reduces the transformed block in place, consuming it.
+
 The fit tables stack their replications into rows and fit a block of rows at
 once.  Replication i of a cell is row i of the cell's stream, and each block
 of rows is one draw of shape (rows, width) from it, so the results do not
@@ -45,6 +51,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 
@@ -54,10 +61,10 @@ import scipy
 from . import __version__
 from .boundary import euclid_d, least_divergent_point, sup_M
 from .dist import _MASK64, FAMILIES, ChiSqParams, RandomStream, _shift_parts, _shifted_square, \
-    check_int, check_law, check_level, check_positive, clip_repr, count_pmf, count_support, \
-    sample_chisq
+    check_int, check_law, check_level, check_positive, check_statistic, clip_repr, count_pmf, \
+    count_support, sample_chisq
 from .divergence import J_uniform
-from .evidence import EquivalenceParams, equiv_transform, lof_transform
+from .evidence import EquivalenceParams, _equiv_values, _lof_values
 from .model_fit import UndefinedFit, normality_evidence_rows, poisson_evidence_rows
 from .pearson import MIN_POWER_REPS, multinomial_power_mc, row_blocks
 
@@ -211,11 +218,13 @@ def _validate_params(scenario: str, params: dict) -> None:
 
 def _moments(values: np.ndarray) -> tuple:
     """(n, mean, M2) of `values`, M2 being the sum of squared deviations from
-    the mean: the terms ``values.std(ddof=1)`` sums."""
-    mean = float(values.mean())
-    dev = values - mean
-    np.square(dev, out=dev)
-    return len(values), mean, float(dev.sum())
+    the mean: the terms ``values.std(ddof=1)`` sums.  `values` is consumed:
+    it comes back holding the squared deviations."""
+    n = len(values)
+    mean = float(np.add.reduce(values) / n)  # the bits of values.mean()
+    values -= mean
+    np.square(values, out=values)
+    return n, mean, float(values.sum())
 
 
 def _merge_moments(a: tuple, b: tuple) -> tuple:
@@ -235,6 +244,7 @@ def _summary(grid_point: tuple, n: int, mean: float, m2: float) -> SimSummary:
 
 
 def _summarize(grid_point: tuple, values: np.ndarray) -> SimSummary:
+    """The summary of `values`, which ``_moments`` consumes."""
     return _summary(grid_point, *_moments(values))
 
 
@@ -281,15 +291,18 @@ def _map_units(fn, items: list, workers: int, size=None) -> list:
             future.cancel()
 
 
-def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, seed: int,
+def _run_vst(grid_head: tuple, core, nu: float, lambda_grid, reps: int, seed: int,
              workers: int):
-    """Summaries of transform(S), S ~ chi2(nu, lambda), one unit per lambda.
+    """Summaries of core(S), S ~ chi2(nu, lambda), one unit per lambda.
 
-    Replications come in blocks of VST_BLOCK and each grid point merges the
-    blocks' moments, so memory stays bounded for any reps.  For nu >= 1 each
-    block's parts, Z ~ N(0, 1) then R ~ chi2(nu - 1), are drawn once from
-    stream 0, and every grid point transforms its own S = (Z + sqrt(lambda))^2
-    + R from them.  For nu < 1 grid point i draws S from stream i.
+    `core` is a transform's array core from ``evidence``, which does not check
+    its input: every S is checked here first.  Replications come in blocks of
+    VST_BLOCK and each grid point merges the blocks' moments, so memory stays
+    bounded for any reps.  For nu >= 1 each block's parts, Z ~ N(0, 1) then
+    R ~ chi2(nu - 1), are drawn once from stream 0 and checked once: if Z has
+    no NaN and R passes ``check_statistic``, every grid point's S = (Z +
+    sqrt(lambda))^2 + R, which it forms and transforms itself, is nonnegative
+    and not NaN.  For nu < 1 grid point i draws S from stream i and checks it.
     """
     grid = [float(l) for l in lambda_grid]
     params = [ChiSqParams(nu, lam) for lam in grid]  # every lambda checked before any draw
@@ -299,18 +312,24 @@ def _run_vst(grid_head: tuple, transform, nu: float, lambda_grid, reps: int, see
     for lo in range(0, reps, VST_BLOCK):
         size = min(VST_BLOCK, reps - lo)
         if nu < 1.0:
-            draw = lambda i: sample_chisq(streams[i], params[i], size)
+            def draw(i):
+                s = sample_chisq(streams[i], params[i], size)
+                check_statistic(s)
+                return s
         else:
-            parts = _shift_parts(streams[0].gen, nu, size)
-            draw = lambda i: _shifted_square(*parts, grid[i])
-        blocks = _map_units(lambda i: _moments(transform(draw(i))), units, workers)
+            z, rest = _shift_parts(streams[0].gen, nu, size)
+            check_statistic(np.abs(z))  # |Z| fails exactly where Z is NaN
+            if rest is not None:
+                check_statistic(rest)
+            draw = lambda i: _shifted_square(z, rest, grid[i])
+        blocks = _map_units(lambda i: _moments(core(draw(i))), units, workers)
         accs = list(map(_merge_moments, accs, blocks))
     return [_summary((*grid_head, lam), *acc) for lam, acc in zip(grid, accs)]
 
 
 def run_vst_lof(nu: float, lambda_grid, reps: int, seed: int, workers: int = 1):
     """Simulated mean/sd of the bias-adjusted lack-of-fit evidence per lambda."""
-    return _run_vst((nu,), lambda s: lof_transform(s, nu, bias_adjust=True),
+    return _run_vst((nu,), lambda s: _lof_values(s, nu, True),
                     nu, lambda_grid, reps, seed, workers)
 
 
@@ -318,7 +337,7 @@ def run_vst_equiv(nu: float, lambda0: float, lambda_grid, reps: int, seed: int,
                   workers: int = 1):
     """Simulated mean/sd of the bias-adjusted equivalence evidence per lambda."""
     params = EquivalenceParams(nu=nu, lambda0=lambda0)
-    return _run_vst((nu, lambda0), lambda s: equiv_transform(s, params, bias_adjust=True),
+    return _run_vst((nu, lambda0), lambda s: _equiv_values(s, params, True),
                     nu, lambda_grid, reps, seed, workers)
 
 
@@ -414,37 +433,82 @@ SCENARIOS = {  # name -> (runner, default params); a scenario accepts just its d
 }
 
 
-def _formatter(value):
-    """Text of a cell of value's type: a float's repr, a tuple joined by '/', or str."""
-    if isinstance(value, float):
-        return float.__repr__
-    if isinstance(value, tuple):
-        return lambda v: "/".join(map(str, v))
-    return str
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # a float's str -> json's
 
 
-def _rows_to_csv(rows) -> str:
-    """A header, then one line per row, columns and formatters from the first
-    row; a grid_point tuple (SimSummary's first field) spreads into grid_0, ..."""
-    names = [f.name for f in fields(rows[0])]
+def _flatten(values: tuple, leaves: list) -> tuple:
+    """Append the scalars of `values` to `leaves`, depth first; return its
+    shape: per item its type, or for a tuple the tuple's shape."""
+    shape = []
+    for v in values:
+        if type(v) is tuple:
+            shape.append(_flatten(v, leaves))
+        else:
+            leaves.append(v)
+            shape.append(type(v))
+    return tuple(shape)
+
+
+@functools.cache  # a scenario's rows take a few shapes, one per type of parameter
+def _layout(cls, shape: tuple) -> tuple:
+    """(CSV line, JSON item, indices of the str scalars) of a row of class cls
+    whose field values have this ``_flatten`` shape; the line and the item are
+    format strings whose i-th field takes the text of the row's i-th scalar.
+
+    The item is what ``json.dumps(rows, sort_keys=True, indent=2)`` writes for
+    the row, tuples as lists: json lays out a skeleton row whose scalars are
+    placeholders "@i@".  The line spreads a grid_point tuple into its cells
+    and joins each cell's scalars by '/'.
+    """
+    names = [f.name for f in fields(cls)]
+    leaf = itertools.count()
+
+    def skeleton(s):
+        return [skeleton(x) for x in s] if type(s) is tuple else f"@{next(leaf)}@"
+
+    item = json.dumps([dict(zip(names, map(skeleton, shape)))], sort_keys=True, indent=2)[2:-2]
+    item = item.replace("{", "{{").replace("}", "}}").replace('"@', "{").replace('@"', "}")
+    leaf = itertools.count()
+
+    def cell(s):
+        return "/".join(map(cell, s)) if type(s) is tuple else f"{{{next(leaf)}}}"
+
+    line = ",".join(map(cell, shape[0] + shape[1:] if names[0] == "grid_point" else shape))
+    types = []
+    _flatten(shape, types)  # the shape's own scalars are the row's scalar types
+    return line, item, [i for i, t in enumerate(types) if issubclass(t, str)]
+
+
+def _render(rows) -> tuple:
+    """(CSV, JSON) texts of rows of one dataclass, each scalar formatted once
+    for both.
+
+    The CSV has a header, then one line per row: the fields in order, a
+    grid_point tuple (SimSummary's first field) spread into grid_0, ... (as
+    many as the first row has), a tuple within it joined by '/', every scalar
+    as ``str`` writes it (``float.__repr__`` for a float).  The JSON is byte
+    for byte ``json.dumps([vars(row), ...], sort_keys=True, indent=2) + "\n"``
+    with tuples as lists: each row fills the template ``_layout`` builds for
+    its class and shape, a str escaped as json does it and a non-finite float
+    written NaN, Infinity or -Infinity.
+    """
+    cls = type(rows[0])
+    names = [f.name for f in fields(cls)]
+    values = attrgetter(*names)
     if names[0] == "grid_point":
-        rest = attrgetter(*names[1:])
-        cells = lambda row: (*row.grid_point, *rest(row))
         names[:1] = [f"grid_{i}" for i in range(len(rows[0].grid_point))]
-    else:
-        cells = attrgetter(*names)
-    formats = [_formatter(v) for v in cells(rows[0])]
     lines = [",".join(names)]
-    lines += [",".join([fmt(v) for fmt, v in zip(formats, cells(row))]) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_json(rows) -> str:
-    def as_dict(row):
-        d = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(row).items()}
-        return d
-
-    return json.dumps([as_dict(r) for r in rows], sort_keys=True, indent=2) + "\n"
+    items = []
+    for row in rows:
+        leaves = []
+        line, item, strs = _layout(cls, _flatten(values(row), leaves))
+        texts = list(map(str, leaves))
+        lines.append(line.format(*texts))
+        json_texts = list(map(_JSON_NONFINITE.get, texts, texts))
+        for i in strs:
+            json_texts[i] = encode_basestring_ascii(leaves[i])
+        items.append(item.format(*json_texts))
+    return "\n".join(lines) + "\n", "[\n" + ",\n".join(items) + "\n]\n"
 
 
 def _write_new(path: Path, text: str) -> None:
@@ -472,8 +536,9 @@ def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_new(out / f"{config.scenario}.csv", _rows_to_csv(rows))
-        _write_new(out / f"{config.scenario}.json", _rows_to_json(rows))
+        csv_text, json_text = _render(rows)
+        _write_new(out / f"{config.scenario}.csv", csv_text)
+        _write_new(out / f"{config.scenario}.json", json_text)
         manifest = {
             "scenario": config.scenario,
             "seed": config.seed,

@@ -373,13 +373,13 @@ class TestSimulate:
         assert "--workers" in err
 
     def test_workers_capped_at_usable_cpus(self, capsys, tmp_path, monkeypatch):
-        units, transform = set(), sim.lof_transform
+        units, core = set(), sim._lof_values
 
         def recording(*args, **kwargs):
             units.add(threading.get_ident())
-            return transform(*args, **kwargs)
+            return core(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "lof_transform", recording)
+        monkeypatch.setattr(sim, "_lof_values", recording)
         threads = threading.active_count()
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "vst_lof_calibration",
                              "--reps", "100", "--out", str(tmp_path), "--workers", "1000000")

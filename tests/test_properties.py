@@ -9,11 +9,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gofevid.cli import main
 from gofevid.dist import count_pmf
-from gofevid.evidence import EquivalenceParams, equiv_transform, lof_transform
+from gofevid.evidence import EquivalenceParams, _equiv_values, _lof_values, equiv_transform, \
+    lof_transform
 from gofevid.model_fit import (
     UndefinedFit,
     evidence_for_normality,
@@ -47,6 +48,27 @@ def test_transforms_continuous_at_nu(nu, lambda0):
     tol = 1e-6 * max(1.0, math.sqrt(nu))
     assert abs(lof_transform(below, nu) - lof_transform(nu, nu)) < tol
     assert abs(equiv_transform(below, params) - equiv_transform(nu, params)) < tol
+
+
+@PROPERTY
+@given(nus, st.floats(0.01, 1000.0), st.booleans(),
+       st.lists(st.floats(min_value=0.0), max_size=40))
+@example(5.0, 12.0, True, [])
+@example(1.0, 0.5, False, [math.inf, 5e-324])
+def test_cores_match_public_transforms(nu, lambda0, adjust, drawn):
+    """The array cores give the public transforms' bits, arrays and scalars,
+    and leave their input as it was; every s holds 0, nu, one ulp either side
+    of nu and 1e300."""
+    s = np.array([0.0, nu, math.nextafter(nu, 0.0), math.nextafter(nu, math.inf), 1e300] + drawn)
+    before = s.tobytes()
+    params = EquivalenceParams(nu, lambda0)
+    lof, equiv = _lof_values(s, nu, adjust), _equiv_values(s, params, adjust)
+    assert s.tobytes() == before
+    assert lof.tobytes() == lof_transform(s, nu, adjust).tobytes()
+    assert equiv.tobytes() == equiv_transform(s, params, adjust).tobytes()
+    for i, x in enumerate(s.tolist()):
+        assert lof_transform(x, nu, adjust).hex() == lof[i].item().hex()
+        assert equiv_transform(x, params, adjust).hex() == equiv[i].item().hex()
 
 
 @PROPERTY

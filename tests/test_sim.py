@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -106,9 +107,9 @@ class TestVstBlocks:
             assert remainders == ([(0.5 * (nu - 1.0), size) for size in normals] if nu > 1.0 else [])
 
     def test_bounded_temporaries(self):
-        # one grid point of a full block holds Z, S, the transform's output and
-        # the squared deviations: four arrays of one block (512 KB each), and a
-        # further temporary would take the peak past 4.5
+        # one grid point of a full block holds Z, S and the transform's output,
+        # which _moments squares in place: three arrays of one block (512 KB
+        # each), and further temporaries would take the peak past 4.5
         run_vst_lof(1.0, [25.0], reps=1000, seed=1)
         tracemalloc.start()
         try:
@@ -122,6 +123,64 @@ class TestVstBlocks:
         a = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=1)
         b = run_vst_equiv(1.0, 12.0, [0, 12], reps=sim.VST_BLOCK + 100, seed=8, workers=2)
         assert a == b
+
+    @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 1000, 10_000, sim.VST_BLOCK + 5])
+    def test_moments_in_place_match_numpy(self, size):
+        v = RandomStream(31, size).gen.standard_normal(size) * 3.0 + 7.0
+        want = (len(v), float(v.mean()), float(((v - v.mean()) ** 2).sum()))
+        n, mean, m2 = sim._moments(v.copy())
+        assert n == want[0]
+        assert (mean.hex(), m2.hex()) == (want[1].hex(), want[2].hex())
+
+
+def _bad_parts(where: str, value: float):
+    """sim._shift_parts with `value` written into Z or R of the last block
+    (the one of 5 draws) only."""
+    def parts(gen, nu, size):
+        z, rest = dist._shift_parts(gen, nu, size)
+        if size == 5:
+            (z if where == "z" else rest)[3] = value
+        return z, rest
+    return parts
+
+
+class TestBlockCheck:
+    """For nu >= 1 each shared block is checked once, before any grid point
+    transforms it, with check_statistic's message; for nu < 1 each grid
+    point's draw is checked."""
+
+    MESSAGE = "^statistic s must be nonnegative and not NaN$"
+    REPS = sim.VST_BLOCK + 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("nu, where, value", [
+        (1.0, "z", math.nan), (5.0, "z", math.nan),
+        (5.0, "rest", -1e-3), (5.0, "rest", math.nan),
+    ])
+    def test_bad_block_rejected(self, monkeypatch, nu, where, value, workers):
+        monkeypatch.setattr(sim, "_shift_parts", _bad_parts(where, value))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_vst_lof(nu, [0.0, 30.0], reps=self.REPS, seed=4, workers=workers)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_vst_equiv(nu, 12.0, [0.0, 30.0], reps=self.REPS, seed=4, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("value", [math.nan, -1e-3])
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_small_nu_checks_every_grid_point(self, monkeypatch, bad, value, workers):
+        grid = [0.0, 2.5, 30.0]
+
+        def draw(stream, params, size):
+            s = sample_chisq(stream, params, size)
+            if params.lam == grid[bad] and size == 5:
+                s[3] = value
+            return s
+
+        monkeypatch.setattr(sim, "sample_chisq", draw)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_vst_lof(0.5, grid, reps=self.REPS, seed=4, workers=workers)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_vst_equiv(0.5, 12.0, grid, reps=self.REPS, seed=4, workers=workers)
 
 
 class TestStreamLayout6:
@@ -180,7 +239,7 @@ class TestStreamLayout6:
         if (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"):
             pytest.skip("the digest was recorded under numpy 2.4.6 and scipy 1.17.1")
         rows = run_vst_lof(0.5, [0, 2.5, 30], 2 * sim.VST_BLOCK + 5, 9, workers)
-        assert hashlib.sha256(sim._rows_to_csv(rows).encode()).hexdigest() == self.SMALL_NU_CSV
+        assert hashlib.sha256(sim._render(rows)[0].encode()).hexdigest() == self.SMALL_NU_CSV
 
     def test_every_lambda_checked_before_drawing(self, monkeypatch):
         monkeypatch.setattr(sim, "RandomStream", None)  # any draw would fail on this
@@ -445,14 +504,15 @@ CSV_HEADERS = {
 
 
 def _unit_threads(monkeypatch) -> set:
-    """The idents of the threads that run calibration units from now on."""
-    threads, transform = set(), sim.lof_transform
+    """The idents of the threads that run calibration units from now on: each
+    unit calls the transform's core."""
+    threads, core = set(), sim._lof_values
 
     def recording(*args, **kwargs):
         threads.add(threading.get_ident())
-        return transform(*args, **kwargs)
+        return core(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "lof_transform", recording)
+    monkeypatch.setattr(sim, "_lof_values", recording)
     return threads
 
 
@@ -646,6 +706,76 @@ def test_scenario_bytes_independent_of_workers(tmp_path, scenario):
     lines = (tmp_path / "w1" / f"{scenario}.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADERS[scenario]
     assert len(lines) == 1 + len(rows)
+
+
+def _reference_texts(rows) -> tuple:
+    """(CSV, JSON) of rows written out plainly: the JSON by json.dumps, the
+    CSV by joining each field's str, grid_point spread into its cells and a
+    tuple within it joined by '/'."""
+    def as_json(value):
+        return [as_json(v) for v in value] if isinstance(value, tuple) else value
+
+    def cell(value):
+        return "/".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    names = list(vars(rows[0]))
+    lines = []
+    for row in rows:
+        cells = [cell(getattr(row, name)) for name in names]
+        if names[0] == "grid_point":
+            cells[:1] = map(cell, row.grid_point)
+        lines.append(",".join(cells))
+    header = names
+    if names[0] == "grid_point":
+        header = [f"grid_{i}" for i in range(len(rows[0].grid_point))] + names[1:]
+    csv_text = "\n".join([",".join(header)] + lines) + "\n"
+    json_text = json.dumps([{k: as_json(v) for k, v in vars(row).items()} for row in rows],
+                           sort_keys=True, indent=2) + "\n"
+    return csv_text, json_text
+
+
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestRender:
+    """sim._render against json.dumps and a plain CSV join."""
+
+    @pytest.mark.parametrize("scenario", sim.SCENARIOS)
+    def test_every_scenario(self, scenario):
+        rows = run_scenario(SimConfig(scenario, 1000, 17, SMALL_PARAMS[scenario]))
+        assert sim._render(rows) == _reference_texts(rows)
+        assert sim._render(rows[:1]) == _reference_texts(rows[:1])
+
+    def test_default_poisson_grid_mixes_tuple_lengths(self):
+        rows = run_poisson_table(n_list=[100], reps=100, seed=2)
+        assert {len(row.grid_point[0]) for row in rows} == {2, 3}
+        assert sim._render(rows) == _reference_texts(rows)
+
+    def test_nonfinite_floats(self):
+        rows = [sim.SimSummary((5, lam), mean, sd, se, 100)
+                for lam, mean, sd, se in itertools.product([0.0, math.inf], NONFINITE + (1.5,),
+                                                           NONFINITE, (0.1,))]
+        csv_text, json_text = sim._render(rows)
+        assert (csv_text, json_text) == _reference_texts(rows)
+        assert "nan" in csv_text and "NaN" in json_text and "-Infinity" in json_text
+
+    def test_strings_escaped_in_json_only(self):
+        names = ['p"7', "back\\slash", "caf\u00e9", "\u2713 tab\t", "{0}", "nan", ""]
+        rows = [sim.Table1Row(name, 0.1 * i, math.nan, math.inf, -0.0, 1e300, 1000)
+                for i, name in enumerate(names)]
+        assert sim._render(rows) == _reference_texts(rows)
+        for row in rows:
+            assert sim._render([row]) == _reference_texts([row])
+
+    def test_mixed_count_laws_in_one_table(self):
+        grid = [(("poisson", 5), 100), (("neg_binomial", 20, 0.01), 400),
+                (("poisson", 1.5), 6400), (("neg_binomial", 1, math.nan), 100),
+                (("poisson", math.inf), 100)]
+        rows = [PoissonCellSummary(g, 0.1, 1.0, 0.01, 100, 7.25, 0.5, 4.0, math.nan)
+                for g in grid]
+        assert sim._render(rows) == _reference_texts(rows)
+        assert sim._render(rows[::-1]) == _reference_texts(rows[::-1])
+        assert sim._render(rows[1:2]) == _reference_texts(rows[1:2])
 
 
 class TestRunScenario:
