@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -31,20 +32,21 @@ MAX_COUNT_VALUE = 1_000_000  # largest value an 'index,count' line may give
 MAX_COUNT = 2**53  # largest count, and largest total, that float64 holds exactly
 
 
-class ParseError(ValueError):
-    pass
-
-
 class UsageError(ValueError):
     pass
 
 
-def _read_lines(path: str) -> list[str]:
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of `path` that is neither
+    blank nor a '#' comment."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return text.splitlines()
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _parse_counts(path: str) -> tuple[list[int], list[int]]:
@@ -55,10 +57,7 @@ def _parse_counts(path: str) -> tuple[list[int], list[int]]:
     indices: list[int] = []
     counts: list[int] = []
     indexed = None
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path):
         parts = [p.strip() for p in line.split(",")]
         try:
             if len(parts) == 2:
@@ -74,32 +73,29 @@ def _parse_counts(path: str) -> tuple[list[int], list[int]]:
             if cnt > MAX_COUNT:
                 raise ValueError(f"count {clip_repr(cnt)} exceeds the limit 2**53")
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if indexed is None:
             indexed = is_pair
         elif indexed != is_pair:
-            raise ParseError(f"{path}:{lineno}: mixed 'count' and 'index,count' lines")
+            raise ValueError(f"{path}:{lineno}: mixed 'count' and 'index,count' lines")
         indices.append(idx)
         counts.append(cnt)
     if not counts:
-        raise ParseError(f"{path}: no counts found")
+        raise ValueError(f"{path}: no counts found")
     if sum(counts) > MAX_COUNT:
-        raise ParseError(f"{path}: the counts total {sum(counts)}, above the limit 2**53")
+        raise ValueError(f"{path}: the counts total {sum(counts)}, above the limit 2**53")
     return indices, counts
 
 
 def _parse_reals(path: str) -> np.ndarray:
     values = []
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path):
         try:
             values.append(float(line))
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: not a number: {clip_repr(line)}") from exc
+            raise ValueError(f"{path}:{lineno}: not a number: {clip_repr(line)}") from exc
     if not values:
-        raise ParseError(f"{path}: no data found")
+        raise ValueError(f"{path}: no data found")
     return np.asarray(values)
 
 
@@ -125,13 +121,15 @@ def _load_counts(args) -> tuple[list[int], np.ndarray]:
     return order, np.asarray([cells[idx] for idx in order])
 
 
-def _observed_cells(args) -> tuple[CellData, float]:
-    """The cells of evidence-lof and evidence-equiv, and their Pearson statistic."""
+def _cells_report(args) -> dict:
+    """The report keys evidence-lof and evidence-equiv share, r to nu: the
+    observed cells' size and Pearson statistic."""
     _, counts = _load_counts(args)
-    if len(counts) < 2:
+    r = len(counts)
+    if r < 2:
         raise ValueError("need at least 2 cells (df would be 0)")
-    cells = CellData(counts=counts, null_probs=_null_probs(args, len(counts)))
-    return cells, pearson_stat(cells)
+    cells = CellData(counts=counts, null_probs=_null_probs(args, r))
+    return {"r": r, "n": cells.n, "s_stat": pearson_stat(cells), "nu": float(r - 1)}
 
 
 def _null_probs(args, r: int) -> np.ndarray:
@@ -139,18 +137,19 @@ def _null_probs(args, r: int) -> np.ndarray:
         return np.full(r, 1.0 / r)
     probs = _parse_reals(args.probs)
     if len(probs) != r:
-        raise ParseError(f"--probs has {len(probs)} entries but the data has {r} cells")
+        raise ValueError(f"--probs has {len(probs)} entries but the data has {r} cells")
     return check_probs(probs, "--probs", positive=True)
 
 
-def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
+def _emit(args, report: dict, text_lines: list[str]) -> None:
+    """Print a command's report, headed by its name, in the form args ask for."""
+    report = {"command": args.command, **report}
+    if args.output_format == "json":
         print(json.dumps({"schema": "gofevid.report/1", **report}, sort_keys=True))
-    elif fmt == "csv":
+    elif args.output_format == "csv":
         keys = [k for k, v in report.items() if not isinstance(v, (list, dict))]
         print(",".join(keys))
-        print(",".join(repr(report[k]) if isinstance(report[k], float) else str(report[k])
-                       for k in keys))
+        print(",".join(str(report[k]) for k in keys))
     else:
         print("\n".join(text_lines))
 
@@ -174,28 +173,16 @@ def _equivalence_lines(kind: str, report: dict) -> list[str]:
 
 
 def cmd_evidence_lof(args) -> int:
-    cells, s = _observed_cells(args)
-    r = len(cells.counts)
-    nu = float(r - 1)
+    report = _cells_report(args)
     adjust = not args.no_bias_adjust
-    ev = evidence_against(s, nu, bias_adjust=adjust)
-    report = {
-        "command": "evidence-lof",
-        "r": r,
-        "n": cells.n,
-        "s_stat": s,
-        "nu": nu,
-        "bias_adjust": adjust,
-        "t": ev.t,
-        "se": 1.0,
-        "label": str(evidence_label(ev.t)),
-    }
-    _emit(report, args.output_format, [
+    ev = evidence_against(report["s_stat"], report["nu"], bias_adjust=adjust)
+    report.update(bias_adjust=adjust, t=ev.t, se=1.0, label=str(evidence_label(ev.t)))
+    _emit(args, report, [
         "Evidence against the hypothesized cell probabilities",
-        f"  cells (r):    {r}",
-        f"  n:            {cells.n}",
-        f"  S:            {s:.4f}",
-        f"  df (nu):      {nu:g}",
+        f"  cells (r):    {report['r']}",
+        f"  n:            {report['n']}",
+        f"  S:            {report['s_stat']:.4f}",
+        f"  df (nu):      {report['nu']:g}",
         f"  bias adjust:  {'on' if adjust else 'off'}",
         "  " + _evidence_line("evidence against fit", ev.t),
     ])
@@ -203,32 +190,17 @@ def cmd_evidence_lof(args) -> int:
 
 
 def cmd_evidence_equiv(args) -> int:
-    cells, s = _observed_cells(args)
-    r = len(cells.counts)
-    nu = float(r - 1)
-    lambda0 = lambda0_uniform(cells.n, r, args.k)
-    params = EquivalenceParams(nu=nu, lambda0=lambda0)
+    report = _cells_report(args)
+    params = EquivalenceParams(nu=report["nu"],
+                               lambda0=lambda0_uniform(report["n"], report["r"], args.k))
     adjust = not args.no_bias_adjust
-    ev = evidence_for_equivalence(s, params, bias_adjust=adjust)
-    m0 = max_expected_evidence(params)
-    report = {
-        "command": "evidence-equiv",
-        "r": r,
-        "n": cells.n,
-        "s_stat": s,
-        "nu": nu,
-        "k": args.k,
-        "lambda0": lambda0,
-        "m0": m0,
-        "bias_adjust": adjust,
-        "t": ev.t,
-        "se": 1.0,
-        "label": str(evidence_label(ev.t)),
-    }
-    _emit(report, args.output_format, [
+    ev = evidence_for_equivalence(report["s_stat"], params, bias_adjust=adjust)
+    report.update(k=args.k, lambda0=params.lambda0, m0=max_expected_evidence(params),
+                  bias_adjust=adjust, t=ev.t, se=1.0, label=str(evidence_label(ev.t)))
+    _emit(args, report, [
         "Evidence for equivalence to the hypothesized cell probabilities",
-        f"  cells (r):         {r}",
-        f"  n:                 {cells.n}",
+        f"  cells (r):         {report['r']}",
+        f"  n:                 {report['n']}",
         *_equivalence_lines("evidence for equivalence", report),
     ])
     return 0
@@ -242,7 +214,6 @@ def cmd_samplesize(args) -> int:
     d0 = args.k / math.sqrt(r * (r - 1))
     n0 = sample_size(args.m0, nu, r, d0)
     report = {
-        "command": "samplesize",
         "m0": args.m0,
         "r": r,
         "k": args.k,
@@ -250,7 +221,7 @@ def cmd_samplesize(args) -> int:
         "d0": d0,
         "n0": n0,
     }
-    _emit(report, args.output_format, [
+    _emit(args, report, [
         f"Minimum sample size for maximum expected equivalence evidence m0 = {args.m0:g}",
         f"  cells (r):  {r}   df (nu): {nu:g}   k: {args.k:g}   d0: {d0:.6f}",
         f"  n0 = {n0}",
@@ -262,7 +233,7 @@ def cmd_fit_normal(args) -> int:
     data = _parse_reals(args.data_file)
     report = evidence_for_normality(data, k=args.k, bias_adjust=not args.no_bias_adjust)
     d = report.to_dict()
-    _emit({"command": "fit-normal", **d}, args.output_format, [
+    _emit(args, d, [
         "Evidence for normality",
         f"  n:                 {report.n}",
         f"  r (cells):         {report.r}",
@@ -274,15 +245,15 @@ def cmd_fit_normal(args) -> int:
 def cmd_fit_poisson(args) -> int:
     values, counts = _load_counts(args)
     if values[0] < 0:
-        raise ParseError("count-data indices must be nonnegative")
+        raise ValueError("count-data indices must be nonnegative")
     if values[-1] > MAX_COUNT_VALUE:
-        raise ParseError(f"count-data index {clip_repr(values[-1])} exceeds the limit "
+        raise ValueError(f"count-data index {clip_repr(values[-1])} exceeds the limit "
                          f"{MAX_COUNT_VALUE}")
     table = np.zeros(values[-1] + 1, dtype=np.int64)  # dense frequency table on 0..max
     table[values] = counts
     report = evidence_for_poisson(table, k=args.k, bias_adjust=not args.no_bias_adjust)
     d = report.to_dict()
-    _emit({"command": "fit-poisson", **d}, args.output_format, [
+    _emit(args, d, [
         "Evidence for a Poisson model",
         f"  n:                 {report.n}",
         f"  mu_hat:            {report.mu_hat:.4f}",

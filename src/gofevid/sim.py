@@ -120,10 +120,10 @@ class SimSummary:
 
 @dataclass(frozen=True)
 class PoissonCellSummary(SimSummary):
-    mean_r: float = 0.0
-    sd_r: float = 0.0
-    mean_m0: float = 0.0
-    sd_m0: float = 0.0
+    mean_r: float
+    sd_r: float
+    mean_m0: float
+    sd_m0: float
 
 
 @dataclass(frozen=True)
@@ -431,13 +431,9 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
             except UndefinedFit as exc:
                 raise ValueError(f"poisson_fit_table cell {list(dist)}, n = {n}, "
                                  f"replication {lo + exc.row}: {exc}") from None
-        base = _summarize((dist, n), ts)
-        return PoissonCellSummary(
-            grid_point=base.grid_point, mean_t=base.mean_t, sd_t=base.sd_t,
-            mc_se=base.mc_se, reps=base.reps,
-            mean_r=float(rs.mean()), sd_r=float(rs.std(ddof=1)),
-            mean_m0=float(m0s.mean()), sd_m0=float(m0s.std(ddof=1)),
-        )
+        t, r, m0 = (_summarize((dist, n), column) for column in (ts, rs, m0s))
+        return PoissonCellSummary(**vars(t), mean_r=r.mean_t, sd_r=r.sd_t,
+                                  mean_m0=m0.mean_t, sd_m0=m0.sd_t)
 
     return _map_units(unit, cells, workers, size=_cell_n)
 

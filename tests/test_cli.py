@@ -1,10 +1,13 @@
 import argparse
+import csv
 import errno
+import io
 import json
 import math
 import os
 import threading
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -249,6 +252,75 @@ class TestFitNormal:
         assert code == 1
         assert out == ""
         assert "overflows float64" in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["evidence-lof", "{missing}"],
+        ["evidence-lof", "--fixture", "die", "--probs", "{missing}"],
+        ["fit-normal", "{missing}"],
+    ])
+    def test_unreadable_file_exits_1(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {missing}: ")
+
+    def test_three_field_count_line_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "counts.csv"
+        f.write_text("1,5\n2,6,7\n")
+        code, _, err = run_cli(capsys, "evidence-lof", str(f))
+        assert code == 1
+        assert err == f"error: {f}:2: expected 'count' or 'index,count'\n"
+
+    def test_probs_of_the_wrong_length_exit_1(self, capsys, tmp_path):
+        probs = tmp_path / "p.txt"
+        probs.write_text("# null\n0.5\n\n0.5\n")
+        code, _, err = run_cli(capsys, "evidence-equiv", "--fixture", "die", "--probs", str(probs))
+        assert code == 1
+        assert err == "error: --probs has 2 entries but the data has 6 cells\n"
+
+
+class TestCsvReports:
+    @pytest.mark.parametrize("argv", [
+        ["evidence-lof", "--fixture", "die"],
+        ["evidence-equiv", "--fixture", "alpha", "--k", "0.3"],
+        ["samplesize", "--m0", "3.3", "--r", "6", "--k", "0.5"],
+        ["fit-normal", "{data}"],
+        ["fit-poisson", "--fixture", "alpha", "--no-bias-adjust"],
+    ])
+    def test_csv_holds_the_scalars_of_the_json_report(self, capsys, tmp_path, argv):
+        data = tmp_path / "data.txt"
+        data.write_text("\n".join(repr(float(v)) for v in
+                                  np.random.default_rng(3).standard_normal(300)))
+        argv = [a.format(data=data) for a in argv]
+        code, out, _ = run_cli(capsys, *argv, "-f", "json")
+        assert code == 0
+        doc = json.loads(out)
+        del doc["schema"]
+        scalars = {k: v for k, v in doc.items() if not isinstance(v, (list, dict))}
+        code, out, _ = run_cli(capsys, *argv, "-f", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header[0] == "command" and len(header) == len(row) == len(set(header))
+        assert set(header) == scalars.keys()
+        for key, cell in zip(header, row):
+            want = scalars[key]
+            got = cell == "True" if isinstance(want, bool) else type(want)(cell)
+            assert (type(got), got) == (type(want), want), key
+
+
+class TestBundledData:
+    @pytest.mark.parametrize("command,name,fixture", [
+        ("evidence-lof", "die.csv", "die"),
+        ("fit-poisson", "alpha_emissions.csv", "alpha"),
+    ])
+    def test_data_file_reports_as_its_fixture(self, capsys, command, name, fixture):
+        path = resources.files("gofevid") / "data" / name
+        from_file = run_cli(capsys, command, str(path), "-f", "json")
+        assert from_file[0] == 0
+        assert from_file == run_cli(capsys, command, "--fixture", fixture, "-f", "json")
 
 
 class TestSimulate:
