@@ -25,13 +25,17 @@ def check_k(k) -> None:
         raise ValueError("k must lie in (0, 1]")
 
 
+def _prob_vector(p, name: str, positive: bool = False) -> np.ndarray:
+    """p as a float probability vector of length >= 2 (see ``check_probs``)."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1 or len(arr) < 2:
+        raise ValueError(f"{name} must be a 1-d probability vector of length >= 2")
+    return check_probs(arr, name, positive)
+
+
 def _simplex_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     """Two probability vectors of one length >= 2, as float arrays."""
-    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    for arr, name in ((pa, "p"), (qa, "q")):
-        if arr.ndim != 1 or len(arr) < 2:
-            raise ValueError(f"{name} must be a 1-d probability vector of length >= 2")
-        check_probs(arr, name)
+    pa, qa = _prob_vector(p, "p"), _prob_vector(q, "q")
     if pa.shape != qa.shape:
         raise ValueError("p and q must have the same length")
     return pa, qa

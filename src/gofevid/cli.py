@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .boundary import check_k, lambda0_uniform, sample_size
-from .dist import check_int, check_probs, clip_repr
+from .boundary import lambda0_uniform, table2
+from .dist import check_probs, clip_repr
 from .evidence import (
     EquivalenceParams,
     evidence_against,
@@ -40,8 +40,8 @@ def _data_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line of `path` that is neither
     blank nor a '#' comment."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -207,12 +207,10 @@ def cmd_evidence_equiv(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
-    check_k(args.k)
     r = args.r
-    check_int(r, "r", 2)  # before d0 divides by sqrt(r (r - 1))
+    n0 = int(table2([args.m0], [r], args.k)[0, 0])
     nu = float(r - 1)
     d0 = args.k / math.sqrt(r * (r - 1))
-    n0 = sample_size(args.m0, nu, r, d0)
     report = {
         "m0": args.m0,
         "r": r,
@@ -301,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use a bundled dataset instead of a file")
 
     p = sub.add_parser("evidence-lof", help="evidence against a fully specified cell model")
-    add_counts_input(p, ("die", "alpha"))
+    add_counts_input(p, fixtures.FIXTURES)
     p.add_argument("--probs", help="file of null cell probabilities, or 'uniform'")
     p.add_argument("--no-bias-adjust", action="store_true")
     add_format(p)
     p.set_defaults(fn=cmd_evidence_lof)
 
     p = sub.add_parser("evidence-equiv", help="evidence for equivalence to a cell model")
-    add_counts_input(p, ("die", "alpha"))
+    add_counts_input(p, fixtures.FIXTURES)
     p.add_argument("--probs", help="file of null cell probabilities, or 'uniform'")
     p.add_argument("--k", type=float, default=0.5, help="max relative cell error (default 0.5)")
     p.add_argument("--no-bias-adjust", action="store_true")

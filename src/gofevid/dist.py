@@ -15,15 +15,15 @@ values, one point a block once the mixture is wider, so its temporaries do
 not grow with the number of points; each point's mixture is one row, summed
 alone, so a point's value is the same in any block.
 A random stream is an SFC64 generator seeded by ``SeedSequence`` hashing of
-the fixed-width key (seed, stream_id) (stream layout 5), so distinct ids give
-independent streams whatever the order in which they are drawn.  A fit-table
-cell draws all its replications from its own stream, row after row (stream
-layout 4).  ``sample_chisq`` draws a central chi-squared as 2 Gamma(nu/2), a
-noncentral one with nu >= 1 as a shifted normal squared plus that central
-remainder, and one with nu < 1 as a Poisson mixture.  The shifted-normal
-draw is two steps, ``_shift_parts`` (Z, then R) and ``_shifted_square``
-((Z + sqrt(lam))^2 + R), so that a calibration can draw one block of parts and
-form every noncentrality of its grid from it (stream layout 6, in ``sim``).
+the fixed-width key (seed, stream_id), so distinct ids give independent
+streams whatever the order in which they are drawn.  A fit-table cell draws
+all its replications from its own stream, row after row.  ``sample_chisq``
+draws a central chi-squared as 2 Gamma(nu/2), a noncentral one with nu >= 1
+as a shifted normal squared plus that central remainder, and one with
+nu < 1 as a Poisson mixture.  The shifted-normal draw is two steps,
+``_shift_parts`` (Z, then R) and ``_shifted_square`` ((Z + sqrt(lam))^2 + R),
+so that a calibration can draw one block of parts and form every
+noncentrality of its grid from it (stream layout 6, in ``sim``).
 """
 
 from __future__ import annotations
@@ -330,9 +330,9 @@ def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):
 
     Central (lam = 0): 2 Gamma(nu/2).  For nu >= 1 a noncentral draw uses the
     identity chi2(nu, lam) = (Z + sqrt(lam))^2 + chi2(nu - 1): all `size`
-    standard normals first, then, when nu > 1, 2 Gamma((nu - 1)/2) for each
-    (stream layout 3).  For nu < 1 it is a central chi-squared with nu + 2K df,
-    K ~ Poisson(lam/2), drawn as in layout 2.
+    standard normals first, then, when nu > 1, 2 Gamma((nu - 1)/2) for each.
+    For nu < 1 it is a central chi-squared with nu + 2K df, K ~ Poisson(lam/2):
+    all `size` K first, then the gamma draws.
     """
     g = stream.gen
     nu, lam = params.nu, params.lam

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from .dist import ChiSqParams, _chisq_logpdf, check_lam, check_positive, check_probs
+from .boundary import _prob_vector
+from .dist import ChiSqParams, _chisq_logpdf, check_lam, check_positive
 from .dist import chisq_density  # re-exported: the benchmark's spans and tests name it here
 from .evidence import EquivalenceParams
 
@@ -23,10 +24,7 @@ _LOG_FLOOR = -690.0  # exp() underflows to 0 a bit below this
 
 def J_uniform(p, n: int = 1) -> float:
     """Symmetrized divergence of p from uniform: n * sum((p_i - 1/r) ln p_i)."""
-    pa = np.asarray(p, dtype=float)
-    if pa.ndim != 1 or len(pa) < 2:
-        raise ValueError("p must be a 1-d probability vector of length >= 2")
-    check_probs(pa, "p", positive=True)  # the divergence is infinite at a zero entry
+    pa = _prob_vector(p, "p", positive=True)  # the divergence is infinite at a zero entry
     check_positive(n, "n")
     r = len(pa)
     return float(n * ((pa - 1.0 / r) * np.log(pa)).sum())

@@ -27,7 +27,6 @@ __all__ = [
     "Direction",
     "EvidenceValue",
     "EquivalenceParams",
-    "EvidenceLabel",
     "WEAK",
     "MODERATE",
     "STRONG",
@@ -176,29 +175,14 @@ def max_expected_evidence(params: EquivalenceParams) -> float:
     return expected_evidence_equiv(params, 0.0)
 
 
-@dataclass(frozen=True)
-class EvidenceLabel:
-    strength: str  # negligible | weak | moderate | strong
-    sign: str      # positive | negative | zero
-
-    def __str__(self) -> str:
-        if self.sign == "zero":
-            return "negligible"
-        return f"{self.strength} ({self.sign})"
-
-
-def evidence_label(t: float) -> EvidenceLabel:
-    """Descriptive label for an evidence value; sign is reported separately."""
+def evidence_label(t: float) -> str:
+    """Descriptive label for an evidence value: its strength, then its sign
+    in parentheses, as in "moderate (negative)"; "negligible" at t = 0."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    if t == 0:
+        return "negligible"
     a = abs(t)
-    if a >= STRONG:
-        strength = "strong"
-    elif a >= MODERATE:
-        strength = "moderate"
-    elif a >= WEAK:
-        strength = "weak"
-    else:
-        strength = "negligible"
-    sign = "zero" if t == 0 else ("positive" if t > 0 else "negative")
-    return EvidenceLabel(strength=strength, sign=sign)
+    strength = ("strong" if a >= STRONG else "moderate" if a >= MODERATE
+                else "weak" if a >= WEAK else "negligible")
+    return f"{strength} ({'positive' if t > 0 else 'negative'})"

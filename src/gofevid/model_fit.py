@@ -33,7 +33,7 @@ from .boundary import lambda0_uniform
 from .dist import check_int, check_positive, normal_quantile
 from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
     evidence_for_equivalence, max_expected_evidence
-from .pearson import _pearson_terms, check_counts, pearson_stats
+from .pearson import _pearson, _pearson_terms, check_counts
 
 __all__ = [
     "NormalFitReport",
@@ -149,11 +149,14 @@ def _normal_cells(x: np.ndarray):
 
 
 def _normal_fit(x: np.ndarray, k: float):
-    """(edges, counts, S, params) of the normality fit to each row of a (rows, n) array."""
+    """(edges, counts, S, params) of the normality fit to each row of a (rows, n) array.
+
+    S skips ``pearson_stats``' checks: the binning has just built the counts,
+    and every cell probability is 1/r."""
     edges, counts = _normal_cells(x)
     n, r = x.shape[1], counts.shape[1]
     params = EquivalenceParams(nu=float(r - 3), lambda0=lambda0_uniform(n, r, k))
-    return edges, counts, pearson_stats(counts, np.full(r, 1.0 / r)), params
+    return edges, counts, _pearson(counts, np.full(r, 1.0 / r), counts.sum(axis=1)), params
 
 
 def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True) -> NormalFitReport:
@@ -318,8 +321,7 @@ def _fold_counts(tables: np.ndarray, totals: np.ndarray, r0: np.ndarray,
     ends = np.minimum(r0[:, None] + 1 + bounds, width)
     ends[:, 0] = 0
     ends[bounds >= r[:, None]] = width + 1
-    ends += np.arange(0, below.size, width + 2)[:, None]  # row offsets into below.ravel()
-    at = below.ravel()[ends]
+    at = np.take_along_axis(below, ends, axis=1)
     return at[:, 1:] - at[:, :-1]
 
 

@@ -180,7 +180,7 @@ def multinomial_power_mc(
 
     Replication i is row i of one (reps, r) multinomial draw from the
     stream's generator, made in blocks of rows, so the estimate is
-    independent of how the replications are blocked (stream layout 4).
+    independent of how the replications are blocked.
     """
     check_int(n, "n", 1)
     check_int(reps, "reps", MIN_POWER_REPS)

@@ -3,27 +3,25 @@
 Every scenario is reproducible from (config, seed): each table cell or
 Table 1 row draws from the stream keyed by its position,
 ``RandomStream(seed, index)``, an SFC64 generator seeded by ``SeedSequence``
-hashing of that key (stream layout 5), and a calibration from stream 0 or,
-for nu < 1, its grid point's stream (below).  Grid points, cells and rows are
-a scenario's units: with more than one worker they run on a thread pool that
-outlives the call (one per worker count, at most the usable CPUs), the table
-cells largest first, and the rows come back in input order.  Output is
-byte-identical for any worker count.  Once a unit fails, the units after it
-in input order stop at their next row block; the first failure in input
-order is the one raised.
+hashing of that key, and a calibration from stream 0 or, for nu < 1, its
+grid point's stream (below); these rules are stream layout 6
+(``STREAM_LAYOUT``).  Grid points, cells and rows are a scenario's units:
+with more than one worker they run on a thread pool that outlives the call
+(one per worker count, at most the usable CPUs), the table cells largest
+first, and the rows come back in input order.  Output is byte-identical
+for any worker count.  Once a unit fails, the units after it in input order
+stop at their next row block; the first failure in input order is the one
+raised.
 
 A calibration draws its replications in blocks of VST_BLOCK; each grid point
 transforms each block and merges the blocks' moments, so memory is bounded
-for any reps.  For nu >= 1 the grid shares its draws (common random numbers,
-stream layout 6): block b's parts are drawn once from stream 0, its standard
-normals Z and then, for nu > 1, its central remainders R ~ chi2(nu - 1), and
-grid point i transforms (Z + sqrt(lambda_i))^2 + R, a chi2(nu, lambda_i) draw.
+for any reps.  For nu >= 1 the grid shares its draws (common random numbers):
+block b's parts are drawn once from stream 0, its standard normals Z and
+then, for nu > 1, its central remainders R ~ chi2(nu - 1), and grid point i
+transforms (Z + sqrt(lambda_i))^2 + R, a chi2(nu, lambda_i) draw.
 ``dist`` owns both steps, which ``dist.sample_chisq`` takes too.  Each row's
 mean, sd and mc_se hold on their own; the rows' errors are correlated.  For
-nu < 1 grid point i draws its blocks from stream i by the Poisson mixture.  Up
-to layout 5 every grid point drew from its own stream (layout 3: as a shifted
-normal squared plus a remainder; layout 2: all reps at once from the Poisson
-mixture).
+nu < 1 grid point i draws its blocks from stream i by the Poisson mixture.
 
 A block is checked once, not per grid point: when Z has no NaN and R passes
 ``dist.check_statistic``, every S formed from them is nonnegative and not
@@ -34,12 +32,10 @@ array core in ``evidence``.  For nu < 1 each grid point checks its own draw.
 The fit tables stack their replications into rows and fit a block of rows at
 once.  Replication i of a cell is row i of the cell's stream, and each block
 of rows is one draw of shape (rows, width) from it, so the results do not
-depend on the block size (stream layout 4; up to layout 3 each replication
-drew from its own substream).  A normal-table replication draws its n values.
+depend on the block size.  A normal-table replication draws its n values.
 A count-table replication draws its frequency table directly, as one
 Multinomial(n, pmf) row over the law's support (``dist.count_pmf``): the
-frequency table of n iid draws has exactly that law (since stream layout 2;
-layout 1 drew the n values and counted them).
+frequency table of n iid draws has exactly that law.
 """
 
 from __future__ import annotations
@@ -548,20 +544,6 @@ def _render(rows) -> tuple:
     return "\n".join(lines) + "\n", "[\n" + ",\n".join(items) + "\n]\n"
 
 
-def _write_new(path: Path, text: str) -> None:
-    # a new file: truncating an existing one costs several times as much on ext4.
-    # os.open and os.write skip Path.write_text's buffered text layer; a regular
-    # file takes the whole buffer in one write
-    path.unlink(missing_ok=True)
-    data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
 def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
     """Run one scenario; optionally write CSV + JSON + manifest to out_dir."""
     t0 = time.perf_counter()
@@ -574,8 +556,6 @@ def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_text, json_text = _render(rows)
-        _write_new(out / f"{config.scenario}.csv", csv_text)
-        _write_new(out / f"{config.scenario}.json", json_text)
         manifest = {
             "scenario": config.scenario,
             "seed": config.seed,
@@ -587,5 +567,10 @@ def run_scenario(config: SimConfig, out_dir=None, workers: int = 1):
             "versions": {"gofevid": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__},
         }
-        _write_new(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        files = {f"{config.scenario}.csv": csv_text, f"{config.scenario}.json": json_text,
+                 "manifest.json": json.dumps(manifest, sort_keys=True, indent=2) + "\n"}
+        for name, text in files.items():
+            # a new file: truncating an existing one costs several times as much on ext4
+            (out / name).unlink(missing_ok=True)
+            (out / name).write_bytes(text.encode())
     return rows

@@ -8,6 +8,7 @@ import os
 import threading
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +268,20 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith(f"error: cannot read {missing}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["evidence-lof", "{path}"],
+        ["evidence-lof", "--fixture", "die", "--probs", "{path}"],
+        ["fit-normal", "{path}"],
+    ])
+    def test_non_utf8_file_names_the_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff1\n2\n")
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
     def test_three_field_count_line_exits_1(self, capsys, tmp_path):
         f = tmp_path / "counts.csv"
         f.write_text("1,5\n2,6,7\n")
@@ -491,14 +506,14 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
 
     def test_unwritable_result_file_fails_with_a_message(self, capsys, tmp_path, monkeypatch):
-        real_open = os.open
+        real_open = Path.open
 
-        def refuse(path, *args):
+        def refuse(path, *args, **kwargs):
             if str(path).startswith(str(tmp_path)):
                 raise PermissionError(errno.EACCES, "Permission denied", str(path))
-            return real_open(path, *args)
+            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(os, "open", refuse)
+        monkeypatch.setattr(Path, "open", refuse)
         code, _, err = run_cli(capsys, "simulate", "--scenario", "table1_models",
                                "--reps", "1000", "--out", str(tmp_path))
         assert code == 1

@@ -159,16 +159,15 @@ class TestMaxExpectedEvidence:
 
 class TestEvidenceLabel:
     def test_cases(self):
-        assert str(evidence_label(0.8)) == "negligible (positive)"
-        assert evidence_label(3.53).strength == "moderate"
-        lbl = evidence_label(-3.3)
-        assert lbl.strength == "moderate" and lbl.sign == "negative"
+        assert evidence_label(0.8) == "negligible (positive)"
+        assert evidence_label(3.53) == "moderate (positive)"
+        assert evidence_label(-3.3) == "moderate (negative)"
 
     def test_thresholds(self):
-        assert evidence_label(1.644).strength == "negligible"
-        assert evidence_label(1.645).strength == "weak"
-        assert evidence_label(5.0).strength == "strong"
-        assert evidence_label(0.0).sign == "zero"
+        assert evidence_label(1.644) == "negligible (positive)"
+        assert evidence_label(1.645) == "weak (positive)"
+        assert evidence_label(5.0) == "strong (positive)"
+        assert evidence_label(0.0) == "negligible"
 
     def test_domain(self):
         with pytest.raises(ValueError):

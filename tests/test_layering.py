@@ -5,7 +5,8 @@ module uses SciPy's adaptive quadrature or root finders, which cost about
 integer: every other module calls ``dist.check_int``, so the rule has one copy.
 The law's own parts, the Poisson mixture's ``_poisson_weights``, the
 ``logsumexp`` that reduces its terms and the gamma draws, are named in
-``dist`` alone too."""
+``dist`` alone too.  Only ``boundary`` states the shape rule of a
+probability vector, which ``divergence`` takes from it."""
 
 import re
 from pathlib import Path
@@ -37,3 +38,8 @@ def test_one_quantile_call():
 
 def test_one_integer_rule():
     assert [path.name for path in sorted(SRC.glob("*.py")) if "_is_int(" in path.read_text()] == ["dist.py"]
+
+
+def test_one_probability_vector_shape_rule():
+    rule = "must be a 1-d probability vector of length >= 2"
+    assert [path.name for path in sorted(SRC.glob("*.py")) if rule in path.read_text()] == ["boundary.py"]
