@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .boundary import lambda0_uniform, table2
-from .dist import check_probs, clip_repr
+from .boundary import check_k, lambda0_uniform, sample_size
+from .dist import check_int, check_probs, clip_repr
 from .evidence import (
     EquivalenceParams,
     evidence_against,
@@ -176,7 +176,7 @@ def cmd_evidence_lof(args) -> int:
     report = _cells_report(args)
     adjust = not args.no_bias_adjust
     ev = evidence_against(report["s_stat"], report["nu"], bias_adjust=adjust)
-    report.update(bias_adjust=adjust, t=ev.t, se=1.0, label=str(evidence_label(ev.t)))
+    report.update(bias_adjust=adjust, t=ev.t, se=1.0, label=evidence_label(ev.t))
     _emit(args, report, [
         "Evidence against the hypothesized cell probabilities",
         f"  cells (r):    {report['r']}",
@@ -196,7 +196,7 @@ def cmd_evidence_equiv(args) -> int:
     adjust = not args.no_bias_adjust
     ev = evidence_for_equivalence(report["s_stat"], params, bias_adjust=adjust)
     report.update(k=args.k, lambda0=params.lambda0, m0=max_expected_evidence(params),
-                  bias_adjust=adjust, t=ev.t, se=1.0, label=str(evidence_label(ev.t)))
+                  bias_adjust=adjust, t=ev.t, se=1.0, label=evidence_label(ev.t))
     _emit(args, report, [
         "Evidence for equivalence to the hypothesized cell probabilities",
         f"  cells (r):         {report['r']}",
@@ -207,10 +207,12 @@ def cmd_evidence_equiv(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
+    check_k(args.k)
     r = args.r
-    n0 = int(table2([args.m0], [r], args.k)[0, 0])
+    check_int(r, "r", 2)  # before d0 divides by sqrt(r (r - 1))
     nu = float(r - 1)
     d0 = args.k / math.sqrt(r * (r - 1))
+    n0 = sample_size(args.m0, nu, r, d0)
     report = {
         "m0": args.m0,
         "r": r,

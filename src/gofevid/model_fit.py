@@ -156,7 +156,7 @@ def _normal_fit(x: np.ndarray, k: float):
     edges, counts = _normal_cells(x)
     n, r = x.shape[1], counts.shape[1]
     params = EquivalenceParams(nu=float(r - 3), lambda0=lambda0_uniform(n, r, k))
-    return edges, counts, _pearson(counts, np.full(r, 1.0 / r), counts.sum(axis=1)), params
+    return edges, counts, _pearson(counts, np.full(r, 1.0 / r), n), params
 
 
 def evidence_for_normality(data, k: float = DEFAULT_K, bias_adjust: bool = True) -> NormalFitReport:

@@ -139,6 +139,13 @@ class TestSamplesize:
         assert code == 0
         assert json.loads(out)["n0"] == want
 
+    def test_n0_above_int64_range(self, capsys):
+        # n0 is an exact Python int; it must not pass through an int64 array.
+        code, out, _ = run_cli(capsys, "samplesize", "--m0", "3.3", "--r", "6",
+                               "--k", "1e-9")
+        assert code == 0
+        assert "  n0 = 106627581392778264576\n" in out
+
 
     @pytest.mark.parametrize("argv,message", [
         (["--m0", "3.3", "--r", "1"], "r must be an integer >= 2"),
