@@ -105,17 +105,27 @@ def sample_size(m0: float, nu: float, r: int, d0: float) -> int:
     return int(math.ceil(max(n, 5.0 * r)))
 
 
+def _uniform_plan(m0: float, r: int, k: float) -> tuple:
+    """(nu, d0, n0) for equivalence to uniformity over r cells at relative
+    cell error k: nu = r - 1, d0 = k/sqrt(r(r-1)) and n0 = ``sample_size``'s
+    exact int, which may pass 2^63."""
+    check_k(k)
+    check_int(r, "r", 2)  # before d0 divides by sqrt(r (r - 1))
+    nu = float(r - 1)
+    d0 = k / math.sqrt(r * (r - 1))
+    return nu, d0, sample_size(m0, nu, r, d0)
+
+
 def table2(m0_list, r_list, k: float = 1.0) -> np.ndarray:
-    """Matrix of minimal sample sizes over a grid of m0 (rows) and r (cols).
+    """Matrix of minimal sample sizes over a grid of m0 (rows) and r (cols),
+    as exact Python ints in an object array.
 
     Each entry is recomputed exactly with nu = r - 1 and d0 = k/sqrt(r(r-1));
     rescaling a k=1 table by 1/k^2 is only approximate because the ceiling
     and the 5r floor do not commute with scaling.
     """
-    check_k(k)
-    out = np.empty((len(m0_list), len(r_list)), dtype=np.int64)
+    out = np.empty((len(m0_list), len(r_list)), dtype=object)
     for i, m0 in enumerate(m0_list):
         for j, r in enumerate(r_list):
-            check_int(r, "r", 2)  # before d0 divides by sqrt(r (r - 1))
-            out[i, j] = sample_size(m0, r - 1, r, k / math.sqrt(r * (r - 1)))
+            out[i, j] = _uniform_plan(m0, r, k)[2]
     return out

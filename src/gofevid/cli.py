@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from collections.abc import Iterator
@@ -14,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .boundary import check_k, lambda0_uniform, sample_size
-from .dist import check_int, check_probs, clip_repr
+from .boundary import _uniform_plan, lambda0_uniform
+from .dist import check_probs, clip_repr
 from .evidence import (
     EquivalenceParams,
     evidence_against,
@@ -207,12 +206,8 @@ def cmd_evidence_equiv(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
-    check_k(args.k)
     r = args.r
-    check_int(r, "r", 2)  # before d0 divides by sqrt(r (r - 1))
-    nu = float(r - 1)
-    d0 = args.k / math.sqrt(r * (r - 1))
-    n0 = sample_size(args.m0, nu, r, d0)
+    nu, d0, n0 = _uniform_plan(args.m0, r, args.k)
     report = {
         "m0": args.m0,
         "r": r,

@@ -341,7 +341,7 @@ def sample_chisq(stream: RandomStream, params: ChiSqParams, size=None):
     if nu < 1.0:
         k = g.poisson(0.5 * lam, size=size)
         return 2.0 * g.standard_gamma(0.5 * nu + k, size=size)
-    return _shifted_square(*_shift_parts(g, nu, size), lam)
+    return _shifted_square(*_shift_parts(g, nu, size), math.sqrt(lam))
 
 
 def _shift_parts(g: np.random.Generator, nu: float, size):
@@ -351,10 +351,12 @@ def _shift_parts(g: np.random.Generator, nu: float, size):
     return z, (2.0 * g.standard_gamma(0.5 * (nu - 1.0), size=size) if nu > 1.0 else None)
 
 
-def _shifted_square(z, rest, lam: float):
-    """(z + sqrt(lam))^2 + rest, a chi2(nu, lam) draw from ``_shift_parts``,
-    in one new buffer (an np.float64 for a scalar z); z and rest stay as they are."""
-    s = np.add(z, math.sqrt(lam))
+def _shifted_square(z, rest, root, out=None):
+    """(z + root)^2 + rest with root = sqrt(lam), a chi2(nu, lam) draw from
+    ``_shift_parts``; root is a float, or a column of k of them for k rows of
+    draws that share z and rest.  In `out` when given, else in one new buffer
+    (an np.float64 for a scalar z); z and rest stay as they are."""
+    s = np.add(z, root, out=out)
     s *= s
     if rest is not None:
         s += rest

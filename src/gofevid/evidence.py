@@ -10,7 +10,9 @@ Each transform's arithmetic is one private array core, ``_lof_values`` and
 negative or NaN entry.  ``lof_transform`` and ``equiv_transform`` check their
 arguments, scalar or array, and then call the core; a caller that has checked
 its statistics itself, such as the calibration loop of ``sim``, which checks
-each shared block once for its whole grid, calls the core directly.
+each shared block once for its whole grid, calls the core directly, and may
+have it write over its own buffer through the core's `out`.  The public
+transforms never write into their argument.
 """
 
 from __future__ import annotations
@@ -74,22 +76,24 @@ class EquivalenceParams:
         check_positive(self.lambda0, "lambda0")
 
 
-def _branch_root(s: np.ndarray, nu: float):
-    """(the index of s < nu, a new array of the branch's root): sqrt(2 s) below
-    s = nu, written in by index over s - nu/2, and sqrt(s - nu/2) above, with
-    no masked select."""
+def _branch_root(s: np.ndarray, nu: float, out=None):
+    """(the index of s < nu, the branch's root): sqrt(2 s) below s = nu,
+    written in by index over s - nu/2, and sqrt(s - nu/2) above, with no
+    masked select; in `out` when given (which may be s itself), else in a new
+    array."""
     lower = np.nonzero(s < nu)
-    root = s - 0.5 * nu
-    root[lower] = 2.0 * s[lower]
+    below = 2.0 * s[lower]
+    root = np.subtract(s, 0.5 * nu, out=out)
+    root[lower] = below
     np.sqrt(root, out=root)
     return lower, root
 
 
-def _lof_values(s: np.ndarray, nu: float, bias_adjust: bool) -> np.ndarray:
+def _lof_values(s: np.ndarray, nu: float, bias_adjust: bool, out=None) -> np.ndarray:
     """``lof_transform`` of a float64 array s known to hold no negative or NaN
-    entry, at a positive finite nu, without checks, as a new array; s stays
-    as it is."""
-    lower, out = _branch_root(s, nu)
+    entry, at a positive finite nu, without checks; in `out` when given
+    (which may be s itself), else in a new array with s as it is."""
+    lower, out = _branch_root(s, nu, out)
     below = out[lower] - math.sqrt(2.0 * nu)
     out -= math.sqrt(0.5 * nu)
     out[lower] = below
@@ -98,13 +102,15 @@ def _lof_values(s: np.ndarray, nu: float, bias_adjust: bool) -> np.ndarray:
     return out
 
 
-def _equiv_values(s: np.ndarray, params: EquivalenceParams, bias_adjust: bool) -> np.ndarray:
+def _equiv_values(s: np.ndarray, params: EquivalenceParams, bias_adjust: bool,
+                  out=None) -> np.ndarray:
     """``equiv_transform`` of a float64 array s known to hold no negative or
-    NaN entry, without checks, as a new array; s stays as it is."""
+    NaN entry, without checks; in `out` when given (which may be s itself),
+    else in a new array with s as it is."""
     nu = params.nu
     c1 = math.sqrt(params.lambda0 + 0.5 * nu)
     c0 = c1 - math.sqrt(0.5 * nu) + math.sqrt(2.0 * nu)
-    lower, out = _branch_root(s, nu)
+    lower, out = _branch_root(s, nu, out)
     below = c0 - out[lower]
     np.subtract(c1, out, out=out)
     out[lower] = below

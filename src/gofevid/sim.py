@@ -5,29 +5,35 @@ Table 1 row draws from the stream keyed by its position,
 ``RandomStream(seed, index)``, an SFC64 generator seeded by ``SeedSequence``
 hashing of that key, and a calibration from stream 0 or, for nu < 1, its
 grid point's stream (below); these rules are stream layout 6
-(``STREAM_LAYOUT``).  Grid points, cells and rows are a scenario's units:
+(``STREAM_LAYOUT``).  A scenario's units are the table cells, the Table 1
+rows, or for a calibration contiguous chunks of its grid, one per worker:
 with more than one worker they run on a thread pool that outlives the call
 (one per worker count, at most the usable CPUs), the table cells largest
 first, and the rows come back in input order.  Output is byte-identical
 for any worker count.  Once a unit fails, the units after it in input order
-stop at their next row block; the first failure in input order is the one
-raised.
+stop at their next row block or tile; the first failure in input order is
+the one raised.
 
 A calibration draws its replications in blocks of VST_BLOCK; each grid point
 transforms each block and merges the blocks' moments, so memory is bounded
-for any reps.  For nu >= 1 the grid shares its draws (common random numbers):
-block b's parts are drawn once from stream 0, its standard normals Z and
-then, for nu > 1, its central remainders R ~ chi2(nu - 1), and grid point i
-transforms (Z + sqrt(lambda_i))^2 + R, a chi2(nu, lambda_i) draw.
+for any reps.  A chunk transforms a block in tiles of up to VST_BLOCK values,
+one row per grid point, so that a thread makes a few long numpy calls, each
+releasing the GIL for long enough to pay for the switch.  For nu >= 1 the
+grid shares its draws (common random numbers): block b's parts are drawn
+once from stream 0, its standard normals Z and then, for nu > 1, its central
+remainders R ~ chi2(nu - 1), and grid point i transforms (Z +
+sqrt(lambda_i))^2 + R, a chi2(nu, lambda_i) draw.
 ``dist`` owns both steps, which ``dist.sample_chisq`` takes too.  Each row's
 mean, sd and mc_se hold on their own; the rows' errors are correlated.  For
 nu < 1 grid point i draws its blocks from stream i by the Poisson mixture.
 
 A block is checked once, not per grid point: when Z has no NaN and R passes
 ``dist.check_statistic``, every S formed from them is nonnegative and not
-NaN, so each grid point hands its S straight to the transform's unchecked
-array core in ``evidence``.  For nu < 1 each grid point checks its own draw.
-``_moments`` then reduces the transformed block in place, consuming it.
+NaN, so each tile goes straight to the transform's unchecked array core in
+``evidence``, which writes over it.  For nu < 1 each grid point checks its
+own draw and is a tile of its own.  ``_moments`` then reduces the transformed
+tile row by row in place, consuming it; a row's bits are those of the point
+reduced alone.
 
 The fit tables stack their replications into rows and fit a block of rows at
 once.  Replication i of a cell is row i of the cell's stream, and each block
@@ -215,10 +221,18 @@ def _validate_params(scenario: str, params: dict) -> None:
         check_level(_json_number(params["alpha"], "alpha"), "alpha")
 
 
-def _moments(values: np.ndarray) -> tuple:
+def _moments(values: np.ndarray):
     """(n, mean, M2) of `values`, M2 being the sum of squared deviations from
-    the mean: the terms ``values.std(ddof=1)`` sums.  `values` is consumed:
-    it comes back holding the squared deviations."""
+    the mean: the terms ``values.std(ddof=1)`` sums.  A 2-D `values` gives a
+    list of them, one per row, each row reduced as it would be on its own.
+    `values` is consumed: it comes back holding the squared deviations."""
+    if values.ndim > 1:  # the row-wise calls cost three times the 1-D ones on one row
+        n = values.shape[1]
+        means = np.add.reduce(values, axis=1, keepdims=True) / n
+        values -= means
+        np.square(values, out=values)
+        return [(n, mean, m2) for mean, m2 in zip(means.ravel().tolist(),
+                                                  np.add.reduce(values, axis=1).tolist())]
     n = len(values)
     mean = float(np.add.reduce(values) / n)  # the bits of values.mean()
     values -= mean
@@ -271,15 +285,19 @@ class _Stopped(Exception):
     exception is never seen."""
 
 
-_running = threading.local()  # .stop: the stop test of the pool unit this thread runs
+class _Running(threading.local):
+    stop = None  # the stop test of the pool unit this thread runs, if any
+
+
+_running = _Running()
 
 
 def _stop_point() -> None:
     """Raise _Stopped in a pool unit once a unit of lower index in its
     ``_map_units`` call has failed; inline, do nothing.  Units call it
-    between row blocks, so a failure ends its call's later units within one
-    block and frees their threads for the next call."""
-    stop = getattr(_running, "stop", None)
+    between row blocks or tiles, so a failure ends its call's later units
+    within one block or tile and frees their threads for the next call."""
+    stop = _running.stop  # a class default, not getattr's missed lookup: called per tile
     if stop is not None and stop():
         raise _Stopped
 
@@ -328,7 +346,7 @@ def _map_units(fn, items: list, workers: int, size=None) -> list:
 
 def _run_vst(grid_head: tuple, core, nu: float, lambda_grid, reps: int, seed: int,
              workers: int):
-    """Summaries of core(S), S ~ chi2(nu, lambda), one unit per lambda.
+    """Summaries of core(S), S ~ chi2(nu, lambda), one per lambda.
 
     `core` is a transform's array core from ``evidence``, which does not check
     its input: every S is checked here first.  Replications come in blocks of
@@ -336,35 +354,70 @@ def _run_vst(grid_head: tuple, core, nu: float, lambda_grid, reps: int, seed: in
     bounded for any reps.  For nu >= 1 each block's parts, Z ~ N(0, 1) then
     R ~ chi2(nu - 1), are drawn once from stream 0 and checked once: if Z has
     no NaN and R passes ``check_statistic``, every grid point's S = (Z +
-    sqrt(lambda))^2 + R, which it forms and transforms itself, is nonnegative
-    and not NaN.  For nu < 1 grid point i draws S from stream i and checks it.
+    sqrt(lambda))^2 + R is nonnegative and not NaN.  For nu < 1 grid point i
+    draws S from stream i and checks it.
+
+    The units of a block are contiguous chunks of the grid, one per worker
+    (at most the usable CPUs and the grid points).  A chunk forms S for up to
+    VST_BLOCK // size grid points at once, a tile of one row per point, in a
+    buffer it reuses; the core transforms the tile in place and ``_moments``
+    reduces it row by row, so a thread makes a few long numpy calls, not many
+    short ones that trade the GIL back and forth.  A lone chunk, which runs
+    inline, takes one grid point per tile: with no thread to hand the GIL to,
+    a wider tile only moves more memory per call.  For nu < 1 each grid point
+    is a tile of its own.  A chunk stops between tiles once an earlier chunk
+    has failed.
     """
     grid = [float(l) for l in lambda_grid]
     params = [ChiSqParams(nu, lam) for lam in grid]  # every lambda checked before any draw
-    units = list(range(len(grid)))
-    streams = [RandomStream(seed, i) for i in (units if nu < 1.0 else [0])]
+    # workers below 1 run inline, as in _map_units; an empty grid has no chunk
+    count = min(max(workers, 1), _usable_cpus(), len(grid))
+    chunks = [(len(grid) * c // count, len(grid) * (c + 1) // count) for c in range(count)]
+    streams = [RandomStream(seed, i) for i in (range(len(grid)) if nu < 1.0 else [0])]
+    roots = np.sqrt(grid)
     accs = [(0, 0.0, 0.0)] * len(grid)
     for lo in range(0, reps, VST_BLOCK):
         size = min(VST_BLOCK, reps - lo)
         if nu < 1.0:
-            def draw(i):
-                s = sample_chisq(streams[i], params[i], size)
+            height = 1
+
+            def tile(a, b, buf):
+                s = sample_chisq(streams[a], params[a], size)
                 check_statistic(s)
                 return s
         else:
+            height = max(1, VST_BLOCK // size) if len(chunks) > 1 else 1
             z, rest = _shift_parts(streams[0].gen, nu, size)
             check_statistic(np.abs(z))  # |Z| fails exactly where Z is NaN
             if rest is not None:
                 check_statistic(rest)
-            draw = lambda i: _shifted_square(z, rest, grid[i])
-        blocks = _map_units(lambda i: _moments(core(draw(i))), units, workers)
-        accs = list(map(_merge_moments, accs, blocks))
+
+            def tile(a, b, buf):  # one grid point as a 1-D row: 2-D calls cost more
+                if b - a == 1:
+                    return _shifted_square(z, rest, roots[a], out=buf[0])
+                return _shifted_square(z, rest, roots[a:b, None], out=buf[:b - a])
+
+        def unit(chunk):
+            first, last = chunk
+            buf = np.empty((min(height, last - first), size)) if nu >= 1.0 else None
+            moments = []
+            for a in range(first, last, height):
+                _stop_point()
+                s = tile(a, min(a + height, last), buf)
+                flat = s.reshape(-1)  # a view: s is C-contiguous
+                core(flat, out=flat)
+                m = _moments(s)
+                moments += m if s.ndim > 1 else [m]
+            return moments
+
+        blocks = _map_units(unit, chunks, workers)
+        accs = list(map(_merge_moments, accs, itertools.chain.from_iterable(blocks)))
     return [_summary((*grid_head, lam), *acc) for lam, acc in zip(grid, accs)]
 
 
 def run_vst_lof(nu: float, lambda_grid, reps: int, seed: int, workers: int = 1):
     """Simulated mean/sd of the bias-adjusted lack-of-fit evidence per lambda."""
-    return _run_vst((nu,), lambda s: _lof_values(s, nu, True),
+    return _run_vst((nu,), lambda s, out: _lof_values(s, nu, True, out),
                     nu, lambda_grid, reps, seed, workers)
 
 
@@ -372,7 +425,7 @@ def run_vst_equiv(nu: float, lambda0: float, lambda_grid, reps: int, seed: int,
                   workers: int = 1):
     """Simulated mean/sd of the bias-adjusted equivalence evidence per lambda."""
     params = EquivalenceParams(nu=nu, lambda0=lambda0)
-    return _run_vst((nu, lambda0), lambda s: _equiv_values(s, params, True),
+    return _run_vst((nu, lambda0), lambda s, out: _equiv_values(s, params, True, out),
                     nu, lambda_grid, reps, seed, workers)
 
 

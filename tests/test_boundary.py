@@ -187,6 +187,12 @@ class TestTable2:
         with pytest.raises(ValueError):
             table2([3.3], [6], k=0.0)
 
+    def test_exact_past_2_63(self):
+        # the entry samplesize prints for --m0 3.3 --r 6 --k 1e-9, past int64
+        got = table2([3.3], [6], 1e-9)
+        assert got[0, 0] == 106627581392778264576
+        assert type(got[0, 0]) is int
+
     @pytest.mark.parametrize("r", [1, 0])
     def test_r_domain_checked_before_d0(self, r):
         # d0 = k / sqrt(r (r - 1)) would divide by zero first

@@ -57,8 +57,8 @@ def test_transforms_continuous_at_nu(nu, lambda0):
 @example(1.0, 0.5, False, [math.inf, 5e-324])
 def test_cores_match_public_transforms(nu, lambda0, adjust, drawn):
     """The array cores give the public transforms' bits, arrays and scalars,
-    and leave their input as it was; every s holds 0, nu, one ulp either side
-    of nu and 1e300."""
+    and leave their input as it was, or write the same bits over it through
+    `out`; every s holds 0, nu, one ulp either side of nu and 1e300."""
     s = np.array([0.0, nu, math.nextafter(nu, 0.0), math.nextafter(nu, math.inf), 1e300] + drawn)
     before = s.tobytes()
     params = EquivalenceParams(nu, lambda0)
@@ -66,6 +66,10 @@ def test_cores_match_public_transforms(nu, lambda0, adjust, drawn):
     assert s.tobytes() == before
     assert lof.tobytes() == lof_transform(s, nu, adjust).tobytes()
     assert equiv.tobytes() == equiv_transform(s, params, adjust).tobytes()
+    lof_in, equiv_in = s.copy(), s.copy()  # written over through `out`
+    _lof_values(lof_in, nu, adjust, out=lof_in)
+    _equiv_values(equiv_in, params, adjust, out=equiv_in)
+    assert lof_in.tobytes() == lof.tobytes() and equiv_in.tobytes() == equiv.tobytes()
     for i, x in enumerate(s.tolist()):
         assert lof_transform(x, nu, adjust).hex() == lof[i].item().hex()
         assert equiv_transform(x, params, adjust).hex() == equiv[i].item().hex()

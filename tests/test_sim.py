@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -110,13 +111,29 @@ class TestVstBlocks:
             assert remainders == ([(0.5 * (nu - 1.0), size) for size in normals] if nu > 1.0 else [])
 
     def test_bounded_temporaries(self):
-        # one grid point of a full block holds Z, S and the transform's output,
-        # which _moments squares in place: three arrays of one block (512 KB
-        # each), and further temporaries would take the peak past 4.5
+        # a grid point of a full block holds Z and S, which the core
+        # transforms and _moments squares in place: two arrays of one block
+        # (512 KB each), and further temporaries would take the peak past 4.5
         run_vst_lof(1.0, [25.0], reps=1000, seed=1)
         tracemalloc.start()
         try:
             run_vst_lof(1.0, [25.0], reps=sim.VST_BLOCK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * sim.VST_BLOCK) <= 4.5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bounded_temporaries_in_tiles(self, monkeypatch, workers):
+        # 8 grid points at a quarter block: at two workers each chunk is one
+        # tile of four points, a full block; at one worker a tile is one point.
+        # The running tiles stay within the bound of one full-block grid point
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        grid = [25.0 + i for i in range(8)]
+        run_vst_lof(1.0, grid, reps=1000, seed=1, workers=workers)
+        tracemalloc.start()
+        try:
+            run_vst_lof(1.0, grid, reps=sim.VST_BLOCK // 4, seed=1, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -134,6 +151,9 @@ class TestVstBlocks:
         n, mean, m2 = sim._moments(v.copy())
         assert n == want[0]
         assert (mean.hex(), m2.hex()) == (want[1].hex(), want[2].hex())
+        rows = np.stack([v, v[::-1], 2.0 * v])  # a tile: each row's bits as if alone
+        assert [(n, mean.hex(), m2.hex()) for n, mean, m2 in sim._moments(rows.copy())] == [
+            (len(r), float(r.mean()).hex(), float(((r - r.mean()) ** 2).sum()).hex()) for r in rows]
 
 
 def _bad_parts(where: str, value: float):
@@ -248,6 +268,87 @@ class TestStreamLayout6:
         monkeypatch.setattr(sim, "RandomStream", None)  # any draw would fail on this
         with pytest.raises(ValueError, match="lam = 20000000000.0:"):
             run_vst_lof(5.0, [0.0, 2e10], reps=100, seed=1)
+
+
+def _vst_reference(transform, nu: float, grid, reps: int, seed: int) -> list:
+    """The summaries of a calibration built point by point from layout 6: for
+    nu >= 1 every grid point transforms the blocks of stream 0, for nu < 1
+    grid point i draws from stream i; each block's moments as numpy gives
+    them, merged block by block."""
+    sizes = [min(sim.VST_BLOCK, reps - lo) for lo in range(0, reps, sim.VST_BLOCK)]
+    if nu >= 1.0:
+        gen = RandomStream(seed, 0).gen
+        blocks = []
+        for size in sizes:
+            z = gen.standard_normal(size)
+            blocks.append((z, 2.0 * gen.standard_gamma(0.5 * (nu - 1.0), size=size)
+                           if nu > 1.0 else 0.0))
+    rows = []
+    for idx, lam in enumerate(grid):
+        stream, acc = RandomStream(seed, idx), (0, 0.0, 0.0)
+        for b, size in enumerate(sizes):
+            if nu >= 1.0:
+                z, rest = blocks[b]
+                s = np.square(z + math.sqrt(lam)) + rest
+            else:
+                s = sample_chisq(stream, ChiSqParams(nu, lam), size)
+            t = transform(s)
+            acc = sim._merge_moments(acc, (size, float(t.mean()),
+                                           float(((t - t.mean()) ** 2).sum())))
+        rows.append((lam, acc))
+    return rows
+
+
+class TestVstChunks:
+    """A calibration's units are contiguous chunks of its grid, one per worker,
+    each transformed in tiles of up to VST_BLOCK values: every summary is the
+    one built point by point, at any worker count, grid length and reps."""
+
+    GRIDS = {1: [7.5], 7: [0.0, 0.5, 2.0, 5.0, 12.0, 20.0, 30.0], 36: list(range(36))}
+
+    @pytest.mark.parametrize("reps", [5, 4000, 20000, sim.VST_BLOCK + 5])
+    @pytest.mark.parametrize("points", [1, 7, 36])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("kind", ["lof", "equiv"])
+    def test_byte_identical_to_point_by_point(self, monkeypatch, kind, nu, points, reps):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+        grid, seed = self.GRIDS[points], 29
+        if kind == "lof":
+            head = (nu,)
+            ref = _vst_reference(lambda s: lof_transform(s, nu), nu, grid, reps, seed)
+            run = functools.partial(run_vst_lof, nu, grid, reps, seed)
+        else:
+            params, head = EquivalenceParams(nu, 12.0), (nu, 12.0)
+            ref = _vst_reference(lambda s: equiv_transform(s, params), nu, grid, reps, seed)
+            run = functools.partial(run_vst_equiv, nu, 12.0, grid, reps, seed)
+        want = [sim._summary((*head, float(lam)), *acc) for lam, acc in ref]
+        for workers in (1, 2, 3):
+            assert run(workers=workers) == want, f"workers = {workers}"
+
+    @pytest.mark.parametrize("cpus, workers, points", [
+        (2, 1, 36), (2, 2, 36), (2, 8, 36), (4, 3, 7), (4, 8, 2), (4, 4, 1),
+    ])
+    def test_one_chunk_per_worker(self, monkeypatch, cpus, workers, points):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        items, map_units = [], sim._map_units
+
+        def recording(fn, chunks, workers):
+            items.append(list(chunks))
+            return map_units(fn, chunks, workers)
+
+        monkeypatch.setattr(sim, "_map_units", recording)
+        run_vst_lof(5.0, range(points), reps=2 * sim.VST_BLOCK + 5, seed=3, workers=workers)
+        count = min(workers, cpus, points)
+        assert [len(chunks) for chunks in items] == [count] * 3  # one call per block
+        for chunks in items:  # contiguous, in order, covering the grid
+            assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+            assert chunks[-1][1] == points
+
+    def test_empty_grid_and_no_worker(self):
+        # an empty grid has no chunk, and workers below 1 run inline as one
+        assert run_vst_lof(5.0, [], reps=100, seed=3, workers=2) == []
+        one = run_vst_lof(5.0, [0.0, 4.0], reps=100, seed=3, workers=1)
+        assert run_vst_lof(5.0, [0.0, 4.0], reps=100, seed=3, workers=0) == one
 
 
 class TestRunVstEquiv:
@@ -611,6 +712,34 @@ class TestMapUnits:
         _both_pool_threads_serve()
         # one block may begin between failing.set() and the failure's record
         assert len(blocks_after) <= 2
+
+    def test_failed_chunk_stops_running_chunk_within_one_tile(self, monkeypatch):
+        # at a full block a tile is one grid point, so each of the two chunks
+        # of this grid is 20 tiles; chunk 0 fails in its first tile once chunk
+        # 1 is running, and chunk 1 would run on for about 0.2 s unless stopped
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        running, failing, tiles_after = threading.Event(), threading.Event(), []
+        square = sim._shifted_square
+
+        def tile(z, rest, root, out):
+            if np.ravel(root)[0] == 0.0:
+                running.wait(10)
+                failing.set()
+                raise ValueError("chunk 0")
+            running.set()
+            if failing.is_set():
+                tiles_after.append(root)
+            time.sleep(0.01)
+            return square(z, rest, root, out=out)
+
+        monkeypatch.setattr(sim, "_shifted_square", tile)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="chunk 0"):
+            run_vst_lof(1.0, range(40), reps=sim.VST_BLOCK, seed=1, workers=2)
+        assert time.perf_counter() - start < 5.0
+        _both_pool_threads_serve()
+        # one tile may begin between failing.set() and the failure's record
+        assert len(tiles_after) <= 2
 
     def test_lowest_failure_raised_under_contention(self, monkeypatch):
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
