@@ -11,7 +11,6 @@ from .dist import (
     chisq_cdf,
     chisq_density,
     chisq_quantile,
-    normal_quantile,
     sample_chisq,
     sample_family,
 )
@@ -51,7 +50,6 @@ from .divergence import (
 from .model_fit import (
     NormalFitReport,
     PoissonFitReport,
-    choose_r_normal,
     combine_cells_poisson,
     evidence_for_normality,
     evidence_for_poisson,

@@ -42,7 +42,6 @@ __all__ = [
     "RandomStream",
     "ChiSqParams",
     "LAM_MAX",
-    "normal_quantile",
     "chisq_cdf",
     "chisq_quantile",
     "chisq_density",
@@ -190,16 +189,6 @@ class ChiSqParams:
 
     def __post_init__(self):
         check_law(self.nu, self.lam)
-
-
-def normal_quantile(p):
-    """Inverse standard normal CDF on (0, 1)."""
-    arr = np.asarray(p, dtype=float)
-    inside = (arr > 0.0) & (arr < 1.0)
-    if not inside.all():
-        check_level(float(arr[~inside].flat[0]), "p")  # raises on the first bad entry
-    out = special.ndtri(arr)
-    return float(out) if np.isscalar(p) else out
 
 
 def _nan_error(what: str, nu: float, lam: float, kernel: str = "chndtr") -> ValueError:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from .boundary import lambda0_uniform
-from .dist import check_int, check_positive, normal_quantile
+from .dist import check_int, check_positive
 from .evidence import EquivalenceParams, EvidenceValue, equiv_transform, \
     evidence_for_equivalence, max_expected_evidence
 from .pearson import _pearson, _pearson_terms, check_counts
@@ -39,7 +39,6 @@ __all__ = [
     "NormalFitReport",
     "PoissonFitReport",
     "UndefinedFit",
-    "choose_r_normal",
     "evidence_for_normality",
     "normality_evidence_rows",
     "poisson_mle",
@@ -107,20 +106,12 @@ class PoissonFitReport(_FitReport):
     evidence: EvidenceValue
 
 
-def choose_r_normal(n: int) -> int:
-    """Cell count for the normality pipeline: max(10, ceil(ln n))."""
-    check_int(n, "n", 1)
-    if n < 50:
-        raise ValueError("need n >= 50 so each of the >= 10 cells expects >= 5 observations")
-    return max(10, int(math.ceil(math.log(n))))
-
-
 def _normal_cells(x: np.ndarray):
     """Row-wise MLE fit and equiprobable binning of a (rows, n) array.
 
     Returns (edges, counts): per row, the r - 1 edges xbar + s Phi^{-1}(j/r)
-    with the divisor-n MLE scale s, and the counts of the r cells, where an
-    observation on an edge goes to the right cell.
+    with the divisor-n MLE scale s, and the counts of the r = max(10, ceil(ln n))
+    cells, where an observation on an edge goes to the right cell.
     """
     n = x.shape[1]
     if n < 100:
@@ -136,8 +127,8 @@ def _normal_cells(x: np.ndarray):
                          "overflows float64")
     if np.any(s == 0.0):
         raise ValueError("degenerate data: sample standard deviation is 0")
-    r = choose_r_normal(n)
-    edges = xbar + s * normal_quantile(np.arange(1, r) / r)
+    r = max(10, math.ceil(math.log(n)))
+    edges = xbar + s * special.ndtri(np.arange(1, r) / r)
     # column j counts the values at or above the j-th edge (1-based): column 0
     # is n and column r is 0, so adjacent differences are the cell counts
     at_or_above = np.zeros((len(x), r + 1), dtype=np.intp)
@@ -151,7 +142,7 @@ def _normal_cells(x: np.ndarray):
 def _normal_fit(x: np.ndarray, k: float):
     """(edges, counts, S, params) of the normality fit to each row of a (rows, n) array.
 
-    S skips ``pearson_stats``' checks: the binning has just built the counts,
+    S skips ``CellData``'s checks: the binning has just built the counts,
     and every cell probability is 1/r."""
     edges, counts = _normal_cells(x)
     n, r = x.shape[1], counts.shape[1]
@@ -356,7 +347,7 @@ def _poisson_groups(tables: np.ndarray, totals: np.ndarray, k: float):
     Each row's S is one contiguous sum over its own r cells: numpy's pairwise
     sum depends on the length, so summing the padded row would move the last
     bits.  The padding (probability 1, count 0) keeps every cell's term
-    finite.  S is computed without ``pearson_stats``' checks: the counts are
+    finite.  S is computed without ``CellData``'s checks: the counts are
     checked already, and the combined cells each expect at least 5, so the
     floor on user-given cell probabilities does not apply (at n = 1e14 a
     cell of probability 8e-13 is a valid cell).

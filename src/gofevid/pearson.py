@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boundary import _prob_vector
 from .dist import RandomStream, _cdf, _lof_critical, _nan_error, _quantile, _sf, check_int, \
     check_law, check_level, check_probs, check_statistic
 from .evidence import EquivalenceParams
@@ -18,7 +19,6 @@ from .evidence import EquivalenceParams
 __all__ = [
     "CellData",
     "pearson_stat",
-    "pearson_stats",
     "power_lack_of_fit",
     "power_equivalence",
     "EquivalenceDecision",
@@ -31,11 +31,11 @@ CHUNK_VALUES = 1 << 16  # values held at once when replications are stacked into
 MIN_POWER_REPS = 1000  # fewest replications multinomial_power_mc accepts
 
 
-def row_blocks(lo: int, hi: int, width: int):
-    """Split rows lo..hi into (start, stop) blocks of at most CHUNK_VALUES
+def row_blocks(rows: int, width: int):
+    """Split rows 0..rows into (start, stop) blocks of at most CHUNK_VALUES
     values, each row holding `width` values; every block has at least one row."""
     step = max(1, CHUNK_VALUES // width)
-    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
 def check_counts(counts, ndim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,20 +98,6 @@ class CellData:
 def pearson_stat(data: CellData) -> float:
     """Sum of (observed - expected)^2 / expected over the cells."""
     return float(_pearson(data.counts, data.null_probs, data.n))
-
-
-def pearson_stats(counts, null_probs) -> np.ndarray:
-    """Pearson statistic of each row of a (rows, r) integer count array.
-
-    null_probs is (r,) or (rows, r).  The rows get CellData's checks in
-    array form, and each row's statistic equals ``pearson_stat`` of that row.
-    """
-    counts, n = check_counts(counts, 2)
-    probs = np.asarray(null_probs, dtype=float)
-    if probs.shape[-1:] != counts.shape[-1:]:
-        raise ValueError("null_probs must have one column per count cell")
-    check_probs(probs, "null_probs", positive=True)
-    return _pearson(counts, probs, n)
 
 
 def power_lack_of_fit(alpha: float, nu: float, lam: float) -> float:
@@ -184,19 +170,17 @@ def multinomial_power_mc(
     """
     check_int(n, "n", 1)
     check_int(reps, "reps", MIN_POWER_REPS)
-    true_probs = np.asarray(true_probs, dtype=float)
-    null_probs = np.asarray(null_probs, dtype=float)
+    null_probs = _prob_vector(null_probs, "null_probs", positive=True)
+    true_probs = _prob_vector(true_probs, "true_probs")
     if true_probs.shape != null_probs.shape:
         raise ValueError("probability vectors must have the same length")
-    check_probs(null_probs, "null_probs", positive=True)
-    check_probs(true_probs, "true_probs")
     check_level(alpha, "alpha")
     r = len(null_probs)
     c = _lof_critical(float(r - 1), float(alpha))
 
     gen = stream.gen
     hits = 0
-    for a, b in row_blocks(0, reps, r):
+    for a, b in row_blocks(reps, r):
         counts = gen.multinomial(n, true_probs, size=b - a)
         hits += int(np.count_nonzero(_pearson(counts, null_probs, counts.sum(axis=-1)) >= c))
     p = hits / reps

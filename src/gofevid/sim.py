@@ -445,7 +445,7 @@ def run_normal_table(families=TABLE3_FAMILIES, n_list=TABLE_N_LIST, reps: int = 
         sampler = FAMILIES[name]
         gen = RandomStream(seed, idx).gen
         ts = np.empty(reps)
-        for lo, hi in row_blocks(0, reps, n):
+        for lo, hi in row_blocks(reps, n):
             _stop_point()
             ts[lo:hi] = normality_evidence_rows(sampler(gen, (hi - lo, n), **params))
         return _summarize((family, n), ts)
@@ -472,7 +472,7 @@ def run_poisson_table(dists=TABLE4_DISTS, n_list=TABLE_N_LIST, reps: int = 4000,
         ts = np.empty(reps)
         rs = np.empty(reps)
         m0s = np.empty(reps)
-        for lo, hi in row_blocks(0, reps, len(pmf)):
+        for lo, hi in row_blocks(reps, len(pmf)):
             _stop_point()
             tables = gen.multinomial(n, pmf, size=hi - lo)
             try:

@@ -18,28 +18,32 @@ from gofevid.dist import (
     chisq_quantile,
     count_pmf,
     count_support,
-    normal_quantile,
     sample_chisq,
     sample_family,
 )
 from gofevid.divergence import J_noncentral
+from gofevid.model_fit import evidence_for_normality
 
 
 class TestNormal:
+    """The normality fit's cell edges sit at xbar + s Phi^{-1}(j/r), with the
+    divisor-n MLE scale s."""
+
+    @staticmethod
+    def _report(n):
+        x = np.random.default_rng(n).standard_normal(n) * 3.0 + 7.0
+        return x, evidence_for_normality(x)
+
     def test_quantile_median(self):
-        assert normal_quantile(0.5) == 0.0
+        x, report = self._report(400)  # r = 10: the middle edge is Phi^{-1}(1/2) = 0
+        assert report.edges[report.r // 2 - 1] == x.mean()
 
-    def test_quantile_095(self):
-        assert abs(normal_quantile(0.95) - 1.6449) < 1e-4
-
-    @pytest.mark.parametrize("p", [1e-6, 0.2, 0.999])
-    def test_quantile_roundtrip(self, p):
-        assert abs(oracles.normal_cdf(normal_quantile(p)) - p) < 1e-10
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
-    def test_quantile_domain(self, p):
-        with pytest.raises(ValueError):
-            normal_quantile(p)
+    @pytest.mark.parametrize("n", [100, 25_600, 102_400])
+    def test_edges_roundtrip(self, n):
+        x, report = self._report(n)
+        z = (report.edges - x.mean()) / x.std()
+        got = [oracles.normal_cdf(v) for v in z]
+        assert np.allclose(got, np.arange(1, report.r) / report.r, rtol=0, atol=1e-10)
 
 
 class TestCheckProbs:

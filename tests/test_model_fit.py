@@ -13,7 +13,6 @@ from gofevid.dist import RandomStream, count_pmf
 from gofevid.evidence import EquivalenceParams, equiv_transform
 from gofevid.fixtures import ALPHA_EMISSIONS_COUNTS
 from gofevid.model_fit import (
-    choose_r_normal,
     combine_cells_poisson,
     evidence_for_normality,
     evidence_for_poisson,
@@ -27,13 +26,18 @@ ALPHA = np.asarray(ALPHA_EMISSIONS_COUNTS)
 
 
 class TestChooseRNormal:
+    """The normality fit bins n >= 100 observations into r = max(10, ceil(ln n)) cells."""
+
     @pytest.mark.parametrize("n,want", [(400, 10), (25600, 11), (102400, 12), (409600, 13)])
     def test_values(self, n, want):
-        assert choose_r_normal(n) == want
+        x = np.random.default_rng(n).standard_normal(n)
+        assert evidence_for_normality(x).r == want
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            choose_r_normal(49)
+        x = np.random.default_rng(1).standard_normal(100)
+        assert evidence_for_normality(x).r == 10
+        with pytest.raises(ValueError, match="^need n >= 100 observations$"):
+            evidence_for_normality(x[:99])
 
 
 class TestEvidenceForNormality:

@@ -6,13 +6,14 @@ rule of ``EquivalenceParams``); ``equivalence_test`` rejects a negative or
 NaN statistic with the message of ``dist.check_statistic``, as the evidence
 transforms do.  ``dist.check_int`` owns the integer rules: among them
 ``multinomial_power_mc`` takes only an integer sample size n >= 1 and
-integer reps >= 1000, bools rejected, and ``combine_cells_poisson``,
-``choose_r_normal`` and ``lambda0_uniform`` take only an integer n >= 1
-before their own floors.  ``sim`` only checks that a JSON
-parameter is a number before it hands the value to these owners; the CLI
-tests pin that path.  Every entry point that takes cell counts rejects
-float (even whole-valued), negative, empty, zero-total and wrongly shaped
-counts with the message of ``pearson.check_counts``."""
+integer reps >= 1000, bools rejected, and ``combine_cells_poisson`` and
+``lambda0_uniform`` take only an integer n >= 1 before their own floors.
+``multinomial_power_mc`` rejects a probability vector that is not 1-d of
+length >= 2 with the message of ``boundary._prob_vector``.  ``sim`` only
+checks that a JSON parameter is a number before it hands the value to these
+owners; the CLI tests pin that path.  Every entry point that takes cell
+counts rejects float (even whole-valued), negative, empty, zero-total and
+wrongly shaped counts with the message of ``pearson.check_counts``."""
 
 import math
 import re
@@ -21,24 +22,25 @@ import numpy as np
 import pytest
 
 from gofevid.boundary import lambda0_uniform
-from gofevid.dist import ChiSqParams, RandomStream, chisq_quantile, normal_quantile
+from gofevid.dist import ChiSqParams, RandomStream, chisq_quantile
 from gofevid.divergence import J_noncentral, signed_root_J
 from gofevid.evidence import EquivalenceParams, expected_evidence_against, \
     expected_evidence_equiv, lof_transform
-from gofevid.model_fit import choose_r_normal, combine_cells_poisson, evidence_for_poisson, \
-    poisson_evidence_rows, poisson_mle
-from gofevid.pearson import CellData, equivalence_test, multinomial_power_mc, pearson_stats, \
-    power_equivalence, power_lack_of_fit
+from gofevid.model_fit import combine_cells_poisson, evidence_for_poisson, poisson_evidence_rows, \
+    poisson_mle
+from gofevid.pearson import CellData, equivalence_test, multinomial_power_mc, power_equivalence, \
+    power_lack_of_fit
 
 NAN, INF = math.nan, math.inf
 P = EquivalenceParams(5, 12)
 UNIFORM = [0.25] * 4
 LAW_MAX = (r"no chi-squared law for nu = 5\.0, lam = {lam}\.0: lam must be at most LAM_MAX = 1e\+10, "
            r"where SciPy's kernels are finite")  # dist.check_law's message above LAM_MAX
+VECTOR = "{} must be a 1-d probability vector of length >= 2"  # boundary._prob_vector's message
 
 
-def _power_mc(alpha):
-    return multinomial_power_mc(RandomStream(1), 100, UNIFORM, UNIFORM, alpha, 1000)
+def _power_mc(alpha, true_probs=UNIFORM, null_probs=UNIFORM):
+    return multinomial_power_mc(RandomStream(1), 100, true_probs, null_probs, alpha, 1000)
 
 
 CASES = [
@@ -62,8 +64,8 @@ CASES = [
     (lambda: EquivalenceParams(5, 0), "lambda0 must be positive and finite, got 0"),
     (lambda: ChiSqParams(-INF), "nu must be positive and finite, got -inf"),
     (lambda: ChiSqParams(5, -1e-9), "lam must be nonnegative and finite, got -1e-09"),
-    (lambda: normal_quantile(NAN), r"p must lie strictly in \(0, 1\), got nan"),
-    (lambda: normal_quantile([0.5, 1.0]), r"p must lie strictly in \(0, 1\), got 1.0"),
+    (lambda: chisq_quantile(0.0, ChiSqParams(5)), r"p must lie strictly in \(0, 1\), got 0.0"),
+    (lambda: chisq_quantile(1.0, ChiSqParams(5)), r"p must lie strictly in \(0, 1\), got 1.0"),
     (lambda: chisq_quantile(NAN, ChiSqParams(5)), r"p must lie strictly in \(0, 1\), got nan"),
     (lambda: power_lack_of_fit(NAN, 5, 1), r"alpha must lie strictly in \(0, 1\), got nan"),
     (lambda: power_lack_of_fit(0.05, 5, INF), "lam must be nonnegative and finite, got inf"),
@@ -76,8 +78,13 @@ CASES = [
     (lambda: J_noncentral(5, 1e11, 1e11), LAW_MAX.format(lam="100000000000")),
     (lambda: signed_root_J(EquivalenceParams(5, 2e10), 2e10), LAW_MAX.format(lam="20000000000")),
     (lambda: combine_cells_poisson(100.5, 1.0), "n must be an integer >= 1, got 100.5"),
-    (lambda: choose_r_normal(100.7), "n must be an integer >= 1, got 100.7"),
+    (lambda: lambda0_uniform(100.7, 6, 0.5), "n must be an integer >= 1, got 100.7"),
     (lambda: lambda0_uniform(True, 6, 0.5), "n must be an integer >= 1, got True"),
+    # a one-cell vector once gave power 0 at a NaN critical value, a 0-d one a
+    # TypeError from len(), and a (rows, r) pair a numpy broadcast error
+    (lambda: _power_mc(0.05, [1.0], [1.0]), VECTOR.format("null_probs")),
+    (lambda: _power_mc(0.05, 1.0), VECTOR.format("true_probs")),
+    (lambda: _power_mc(0.05, [UNIFORM] * 2, [UNIFORM] * 2), VECTOR.format("null_probs")),
 ]
 
 
@@ -133,7 +140,6 @@ COUNT_ENTRIES = [  # (name, ndim, call)
     ("CellData", 1, lambda c: CellData(counts=c, null_probs=[1 / 3] * 3)),
     ("poisson_mle", 1, poisson_mle),
     ("evidence_for_poisson", 1, evidence_for_poisson),
-    ("pearson_stats", 2, lambda c: pearson_stats(c, [1 / 3] * 3)),
     ("poisson_evidence_rows", 2, poisson_evidence_rows),
 ]
 SHAPES = {1: "1-d", 2: r"\(rows, cells\)"}

@@ -17,7 +17,6 @@ from gofevid.pearson import (
     equivalence_test,
     multinomial_power_mc,
     pearson_stat,
-    pearson_stats,
     power_equivalence,
     power_lack_of_fit,
 )
@@ -42,30 +41,17 @@ class TestCellData:
         with pytest.raises(ValueError):
             CellData(counts=np.array([1, 2]), null_probs=np.array([1.0 - 1e-13, 1e-13]))
 
-
-class TestPearsonStats:
-    def test_rows_equal_scalar_statistic(self):
-        rng = np.random.default_rng(2)
-        probs = rng.dirichlet(np.ones(13), size=40)
-        counts = np.stack([rng.multinomial(500, p) for p in probs])
-        want = [pearson_stat(CellData(counts=c, null_probs=p)) for c, p in zip(counts, probs)]
-        assert pearson_stats(counts, probs).tolist() == want
-        uniform = np.full(13, 1 / 13)  # one probability vector for every row
-        want = [pearson_stat(CellData(counts=c, null_probs=uniform)) for c in counts]
-        assert pearson_stats(counts, uniform).tolist() == want
-
     @pytest.mark.parametrize("counts,probs,message", [
-        ([[1, 2], [-1, 4]], [0.5, 0.5], "nonnegative"),
-        ([[1, 2], [3, 4]], [1.0 - 1e-13, 1e-13], "exceed 1e-12"),
-        ([[1, 2], [3, 4]], [[0.5, 0.5], [0.9, 0.2]], "sum to 1, got 1.1"),
-        ([[1, 2], [0, 0]], [0.5, 0.5], "total count must be positive"),
-        ([[1.0, 2.0]], [0.5, 0.5], "integers"),
-        ([1, 2], [0.5, 0.5], "rows"),
-        ([[1, 2], [3, 4]], [0.5, math.nan], "null_probs entry must exceed 1e-12, got nan"),
+        ([-1, 4], [0.5, 0.5], "nonnegative"),
+        ([1, 2], [1.0 - 1e-13, 1e-13], "exceed 1e-12"),
+        ([3, 4], [0.9, 0.2], "sum to 1, got 1.1"),
+        ([0, 0], [0.5, 0.5], "total count must be positive"),
+        ([1.0, 2.0], [0.5, 0.5], "integers"),
+        ([3, 4], [0.5, math.nan], "null_probs entry must exceed 1e-12, got nan"),
     ])
-    def test_celldata_checks_in_array_form(self, counts, probs, message):
+    def test_rejects(self, counts, probs, message):
         with pytest.raises(ValueError, match=message):
-            pearson_stats(np.array(counts), np.array(probs))
+            CellData(counts=np.array(counts), null_probs=np.array(probs))
 
 
 class TestPearsonStat:

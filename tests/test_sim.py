@@ -828,7 +828,7 @@ class TestStreamLayout4:
     def test_normal_table(self, monkeypatch, family):
         calls = _recorded_rows(monkeypatch, sim, "normality_evidence_rows")
         run_normal_table((family,), (100, 400), reps=50, seed=8)
-        assert len(calls) == len(row_blocks(0, 50, 100)) + len(row_blocks(0, 50, 400)) == 7
+        assert len(calls) == len(row_blocks(50, 100)) + len(row_blocks(50, 400)) == 7
         name, params = sim.TABLE3[family]
         for cell, n in enumerate((100, 400)):
             want = FAMILIES[name](RandomStream(8, cell).gen, (50, n), **params)
@@ -840,7 +840,7 @@ class TestStreamLayout4:
         calls = _recorded_rows(monkeypatch, sim, "poisson_evidence_rows")
         run_poisson_table((dist,), (100, 400), reps=200, seed=8)
         pmf = count_pmf(*dist)
-        assert len(calls) == 2 * len(row_blocks(0, 200, len(pmf))) > 2
+        assert len(calls) == 2 * len(row_blocks(200, len(pmf))) > 2
         for cell, n in enumerate((100, 400)):
             want = RandomStream(8, cell).gen.multinomial(n, pmf, size=200)
             got = np.concatenate([c for c in calls if c.sum(axis=1)[0] == n])
@@ -850,7 +850,7 @@ class TestStreamLayout4:
         # through run_table1, whose rows p7 and uniform use streams 0 and 1
         calls = _recorded_rows(monkeypatch, pearson, "_pearson")
         run_table1(n=100, reps=1500, seed=8)
-        assert len(calls) == 2 * len(row_blocks(0, 1500, 6)) > 2
+        assert len(calls) == 2 * len(row_blocks(1500, 6)) > 2
         half = len(calls) // 2
         for idx, probs in enumerate([least_divergent_point(6, 0.15), np.full(6, 1.0 / 6)]):
             want = RandomStream(8, idx).gen.multinomial(100, probs, size=1500)
@@ -877,18 +877,18 @@ class TestGeneratorsPerBlock:
 
     def test_normal_table(self, generator_builds):
         run_normal_table(("normal",), (1600,), reps=40, seed=1)
-        assert len(row_blocks(0, 40, 1600)) == 4
+        assert len(row_blocks(40, 1600)) == 4
         assert len(generator_builds) == 1
 
     def test_poisson_table(self, generator_builds):
         run_poisson_table((("poisson", 5),), (100,), reps=2000, seed=1)
-        assert len(row_blocks(0, 2000, len(count_pmf("poisson", 5)))) == 5
+        assert len(row_blocks(2000, len(count_pmf("poisson", 5)))) == 5
         assert len(generator_builds) == 1
 
     def test_multinomial_power_mc(self, generator_builds):
         probs = np.full(6, 1.0 / 6)
         multinomial_power_mc(RandomStream(1, 0), 100, probs, probs, 0.05, 6000)
-        assert len(row_blocks(0, 6000, 6)) == 3
+        assert len(row_blocks(6000, 6)) == 3
         assert len(generator_builds) == 1
 
 
@@ -903,7 +903,7 @@ def test_results_independent_of_block_size(monkeypatch):
 
     default = run_all()
     monkeypatch.setattr(pearson, "CHUNK_VALUES", 1 << 10)
-    assert len(row_blocks(0, 100, 400)) == 50
+    assert len(row_blocks(100, 400)) == 50
     assert run_all() == default
 
 

@@ -19,7 +19,7 @@ import pytest
 from gofevid.boundary import lambda0_uniform
 from gofevid.dist import RandomStream
 from gofevid.evidence import EquivalenceParams, equiv_transform, max_expected_evidence
-from gofevid.pearson import pearson_stats
+from gofevid.pearson import CellData, pearson_stat
 
 SEED, STREAMS, N, R, K = 2019, 64, 100_000, 10, 0.1
 PARAMS = EquivalenceParams(nu=R - 1.0, lambda0=lambda0_uniform(N, R, K))
@@ -27,11 +27,12 @@ PARAMS = EquivalenceParams(nu=R - 1.0, lambda0=lambda0_uniform(N, R, K))
 
 def _evidence(power: float) -> np.ndarray:
     """Evidence for uniformity of u**power per stream, u the stream's N uniforms."""
-    counts = np.empty((STREAMS, R), dtype=np.int64)
+    s = np.empty(STREAMS)
     for i in range(STREAMS):
         u = RandomStream(SEED, i).gen.random(N) ** power
-        counts[i] = np.bincount((u * R).astype(np.intp), minlength=R)
-    return equiv_transform(pearson_stats(counts, np.full(R, 1.0 / R)), PARAMS)
+        counts = np.bincount((u * R).astype(np.intp), minlength=R)
+        s[i] = pearson_stat(CellData(counts=counts, null_probs=np.full(R, 1.0 / R)))
+    return equiv_transform(s, PARAMS)
 
 
 def test_every_stream_shows_strong_evidence_of_uniformity():
